@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
 from .factors import (
@@ -32,7 +31,7 @@ from .factors import (
 )
 from .numtheory import totient
 from .oracle import CostGuardError, oracle_summary
-from .pairing import classify_pair, union_walk
+from .pairing import classify_pair, count_perfect_pairs
 from .equivalence import build_equivalence_report
 
 EXIT_OK = 0
@@ -42,32 +41,13 @@ EXIT_COST_GUARD = 3
 WITNESS_COLORS = ("blue", "red")
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, lifted out of argparse."""
-
-    subcommand: str
-    n: int | None = None
-    s: int | None = None
-    t: int | None = None
-    k: int | None = None
-    l: int | None = None
-    fmt: str = "json"
-    even: bool = False
-    witness: bool = False
-    matrix: bool = False
-    expensive: bool = False
-    input_path: str | None = None
-    output: str | None = None
-
-
 def _to_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+def _emit(text: str, output: str | None) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -123,60 +103,60 @@ def _factor_text(factor: Factor) -> str:
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_construct(config: RunConfig) -> int:
-    n = config.n
-    if config.even:
-        if config.k is None:
+def cmd_construct(args: argparse.Namespace) -> int:
+    n = args.n
+    if args.even:
+        if args.k is None:
             raise ValueError("--even requires --k (one factor at a time)")
-        factor = build_modular_factor_even(n, config.k)
-    elif config.k is not None:
-        factor = build_modular_factor(n, config.k)
+        factor = build_modular_factor_even(n, args.k)
+    elif args.k is not None:
+        factor = build_modular_factor(n, args.k)
     else:
         factor = None
 
     if factor is not None:
-        if config.fmt == "json":
-            _emit(_to_json(factor.to_dict()), config)
-        elif config.fmt == "dot":
-            _emit(_factor_dot(factor), config)
+        if args.format == "json":
+            _emit(_to_json(factor.to_dict()), args.output)
+        elif args.format == "dot":
+            _emit(_factor_dot(factor), args.output)
         else:
-            _emit(_factor_text(factor), config)
+            _emit(_factor_text(factor), args.output)
         return EXIT_OK
 
     fz = build_modular_factorization(n)
-    if config.fmt == "json":
-        _emit(_to_json(fz.to_dict()), config)
-    elif config.fmt == "dot":
-        _emit(_factorization_dot(fz), config)
+    if args.format == "json":
+        _emit(_to_json(fz.to_dict()), args.output)
+    elif args.format == "dot":
+        _emit(_factorization_dot(fz), args.output)
     else:
-        _emit("".join(_factor_text(f) for f in fz.factors), config)
+        _emit("".join(_factor_text(f) for f in fz.factors), args.output)
     return EXIT_OK
 
 
-def cmd_pairs(config: RunConfig) -> int:
-    n = config.n
-    if config.witness:
-        if config.k is None or config.l is None:
+def cmd_pairs(args: argparse.Namespace) -> int:
+    n = args.n
+    if args.witness:
+        if args.k is None or args.l is None:
             raise ValueError("--witness requires --k and --l")
-        f = build_modular_factor(n, config.k)
-        g = build_modular_factor(n, config.l)
+        f = build_modular_factor(n, args.k)
+        g = build_modular_factor(n, args.l)
         outcome = classify_pair(f, g)
-        if config.fmt == "dot":
-            _emit(_witness_dot(f, g), config)
-        elif config.fmt == "json":
+        if args.format == "dot":
+            _emit(_witness_dot(f, g), args.output)
+        elif args.format == "json":
             payload = {
                 "n": n,
-                "k": config.k,
-                "l": config.l,
+                "k": args.k,
+                "l": args.l,
                 "perfect": outcome.perfect,
-                "walk": union_walk(f, g).to_dict(),
+                "walk": outcome.witness.to_dict(),
             }
-            _emit(_to_json(payload), config)
+            _emit(_to_json(payload), args.output)
         else:
             verdict = "perfect" if outcome.perfect else "not perfect"
-            _emit(f"pair (k={config.k}, l={config.l}) of K_{n}: {verdict}\n", config)
+            _emit(f"pair (k={args.k}, l={args.l}) of K_{n}: {verdict}\n", args.output)
         return EXIT_OK
-    if config.fmt == "dot":
+    if args.format == "dot":
         raise ValueError("dot output for pairs needs --witness with --k and --l")
 
     fz = build_modular_factorization(n)
@@ -198,58 +178,58 @@ def cmd_pairs(config: RunConfig) -> int:
         "formula_value": formula_value,
         "agree": agree and count == formula_value,
     }
-    if config.matrix:
+    if args.matrix:
         payload["matrix"] = verdicts
-    if config.fmt == "json":
-        _emit(_to_json(payload), config)
+    if args.format == "json":
+        _emit(_to_json(payload), args.output)
     else:
         _emit(
             f"K_{n}: {count} perfect pairs; formula n*phi(n)/2 = {formula_value}; "
             f"agree: {payload['agree']}\n",
-            config,
+            args.output,
         )
     return EXIT_OK
 
 
-def cmd_equiv(config: RunConfig) -> int:
-    report = build_equivalence_report(config.s, config.t)
-    if config.fmt == "json":
-        _emit(_to_json(report.to_dict()), config)
+def cmd_equiv(args: argparse.Namespace) -> int:
+    report = build_equivalence_report(args.s, args.t)
+    if args.format == "json":
+        _emit(_to_json(report.to_dict()), args.output)
     else:
         _emit(
             f"K_{report.n} as K_{report.s} x K_{report.t}: "
             f"factors equal: {report.all_edge_sets_equal}; "
             f"bounds {report.direct_bound} vs {report.product_bound}: "
             f"equal: {report.bounds_equal}\n",
-            config,
+            args.output,
         )
     if report.all_edge_sets_equal and report.bounds_equal:
         return EXIT_OK
     return EXIT_VALIDATION
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    summary = oracle_summary(config.n, expensive=config.expensive)
-    if config.fmt == "json":
-        _emit(_to_json(summary.to_dict()), config)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    summary = oracle_summary(args.n, expensive=args.expensive)
+    if args.format == "json":
+        _emit(_to_json(summary.to_dict()), args.output)
     else:
         _emit(
             f"K_{summary.n}: exact_c = {summary.exact_c}, "
             f"lower bound n*phi(n)/2 = {summary.lower_bound}, "
             f"factorizations seen = {summary.factorizations_seen}\n",
-            config,
+            args.output,
         )
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(config.input_path, "r", encoding="utf-8") as handle:
+        with open(args.input, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise ValueError(f"cannot read {config.input_path}: {exc}") from None
+        raise ValueError(f"cannot read {args.input}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON in {config.input_path}: {exc}") from None
+        raise ValueError(f"invalid JSON in {args.input}: {exc}") from None
     try:
         fz = Factorization.from_dict(data)
     except (KeyError, TypeError, IndexError) as exc:
@@ -264,18 +244,16 @@ def cmd_verify(config: RunConfig) -> int:
         "perfect_pairs": None,
     }
     if not problems:
-        payload["perfect_pairs"] = sum(
-            1 for f, g in combinations(fz.factors, 2) if classify_pair(f, g).perfect
-        )
-    if config.fmt == "json":
-        _emit(_to_json(payload), config)
+        payload["perfect_pairs"] = count_perfect_pairs(fz)
+    if args.format == "json":
+        _emit(_to_json(payload), args.output)
     else:
         status = "valid" if payload["valid"] else "INVALID"
         lines = [f"factorization of K_{fz.n}: {status}"]
         lines.extend(f"  problem: {p}" for p in problems)
         if payload["perfect_pairs"] is not None:
             lines.append(f"  perfect pairs: {payload['perfect_pairs']}")
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if payload["valid"] else EXIT_VALIDATION
 
 
@@ -326,24 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", None),
-        s=getattr(args, "s", None),
-        t=getattr(args, "t", None),
-        k=getattr(args, "k", None),
-        l=getattr(args, "l", None),
-        fmt=getattr(args, "format", "json"),
-        even=getattr(args, "even", False),
-        witness=getattr(args, "witness", False),
-        matrix=getattr(args, "matrix", False),
-        expensive=getattr(args, "expensive", False),
-        input_path=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-    )
-
-
 COMMANDS = {
     "construct": cmd_construct,
     "pairs": cmd_pairs,
@@ -356,9 +316,8 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = config_from_args(args)
     try:
-        return COMMANDS[config.subcommand](config)
+        return COMMANDS[args.subcommand](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .factors import build_modular_factor
 from .numtheory import gcd, totient
-from .product import build_product_factor
+from .product import _check_orders, build_product_factor, product_bound
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,7 @@ def build_equivalence_report(s: int, t: int) -> EquivalenceReport:
     s and t must be coprime, odd, and >= 3.  The report is produced even
     when some comparison fails; failing p values are listed in `failures`.
     """
-    s, t = _check_coprime(s, t)
-    for name, value in (("s", s), ("t", t)):
-        if value < 3 or value % 2 == 0:
-            raise ValueError(
-                f"constituent order {name} must be odd and >= 3, got {value}"
-            )
+    s, t = _check_orders(*_check_coprime(s, t))
     n = s * t
     index_map = []
     failures = []
@@ -114,7 +109,7 @@ def build_equivalence_report(s: int, t: int) -> EquivalenceReport:
         if not verify_factor_equality(p, s, t):
             failures.append(p)
     direct_bound = n * totient(n) // 2
-    prod_bound = 2 * (s * totient(s) // 2) * (t * totient(t) // 2)
+    prod_bound = product_bound(s, t, s * totient(s) // 2, t * totient(t) // 2)
     return EquivalenceReport(
         s=s,
         t=t,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .numtheory import Residue, half_mod
 
@@ -35,6 +36,8 @@ class Factor:
     Structural invariants beyond edge canonicalization are checked by
     validate_factor, not by the constructor, so that externally supplied
     (possibly broken) factors can still be represented and diagnosed.
+    `partners` and `modular_index` are computed on first use and kept on
+    the instance; they take no part in ==, hash or to_dict.
     """
 
     n: int
@@ -54,11 +57,13 @@ class Factor:
         if self.index is not None:
             object.__setattr__(self, "index", operator.index(self.index))
 
-    def partners(self) -> list[int | None]:
-        """Vertex -> matched partner (None where uncovered).
+    @cached_property
+    def partners(self) -> tuple[int | None, ...]:
+        """Vertex -> matched partner (None where uncovered), built once.
 
-        Raises ValueError on out-of-range vertices or double coverage;
-        use validate_factor for a non-raising verdict.
+        Raises ValueError on out-of-range vertices or double coverage, on
+        every access (a failure is not cached); use validate_factor for a
+        non-raising verdict.
         """
         partner: list[int | None] = [None] * self.n
         for u, v in self.edges:
@@ -70,7 +75,15 @@ class Factor:
                 raise ValueError(f"vertex {v} covered twice")
             partner[u] = v
             partner[v] = u
-        return partner
+        return tuple(partner)
+
+    @cached_property
+    def modular_index(self) -> int | None:
+        """`index` when every edge sums to it mod n, else None; checked once."""
+        k = self.index
+        if k is None or any((u + v) % self.n != k for u, v in self.edges):
+            return None
+        return k
 
     def to_dict(self) -> dict:
         return {

@@ -29,13 +29,16 @@ class CostGuardError(RuntimeError):
     """Raised when a run would be unboundedly expensive without explicit opt-in."""
 
 
-ENUMERABLE = (3, 5, 7, 9)
-
-
-def _check_enumerable(n: int) -> int:
+def _check_enumerable(n: int, expensive: bool = True) -> int:
+    """The order as an int; refuses n = 9 (CostGuardError) unless expensive."""
     n = operator.index(n)
     if n % 2 == 0 or not 3 <= n <= 9:
         raise ValueError(f"enumeration supports odd n with 3 <= n <= 9, got {n}")
+    if n == 9 and not expensive:
+        raise CostGuardError(
+            "exact counting for n = 9 enumerates over a billion factorizations; "
+            "pass expensive=True to run it anyway"
+        )
     return n
 
 
@@ -86,24 +89,6 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     yield from search(0)
 
 
-def exact_c(n: int, expensive: bool = False) -> int:
-    """Exact maximum perfect-pair count over all factorizations of K_n.
-
-    Streams the enumeration, never materializing it.  For n == 9 the search
-    space is enormous, so the run is refused unless expensive=True.
-    """
-    n = _check_enumerable(n)
-    if n == 9 and not expensive:
-        raise CostGuardError(
-            "exact counting for n = 9 enumerates over a billion factorizations; "
-            "pass expensive=True to run it anyway"
-        )
-    best = 0
-    for fz in enumerate_factorizations(n):
-        best = max(best, count_perfect_pairs(fz))
-    return best
-
-
 @dataclass(frozen=True)
 class OracleSummary:
     n: int
@@ -121,13 +106,12 @@ class OracleSummary:
 
 
 def oracle_summary(n: int, expensive: bool = False) -> OracleSummary:
-    """exact_c together with the n*phi(n)/2 lower bound, in one pass."""
-    n = _check_enumerable(n)
-    if n == 9 and not expensive:
-        raise CostGuardError(
-            "exact counting for n = 9 enumerates over a billion factorizations; "
-            "pass expensive=True to run it anyway"
-        )
+    """exact_c together with the n*phi(n)/2 lower bound, in one pass.
+
+    Streams the enumeration, never materializing it.  For n == 9 the search
+    space is enormous, so the run is refused unless expensive=True.
+    """
+    n = _check_enumerable(n, expensive)
     best = 0
     seen = 0
     for fz in enumerate_factorizations(n):
@@ -139,6 +123,11 @@ def oracle_summary(n: int, expensive: bool = False) -> OracleSummary:
         lower_bound=n * totient(n) // 2,
         factorizations_seen=seen,
     )
+
+
+def exact_c(n: int, expensive: bool = False) -> int:
+    """Exact maximum perfect-pair count over all factorizations of K_n."""
+    return oracle_summary(n, expensive).exact_c
 
 
 def independent_hamiltonicity_check(f: Factor, g: Factor) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .factors import Factor, Factorization
@@ -92,7 +91,7 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
         raise ValueError("factors must be distinct")
     if f.isolated is None or g.isolated is None:
         raise ValueError("both factors need an isolated vertex (odd order)")
-    steps = (g.partners(), f.partners())
+    steps = (g.partners, f.partners)
     start = f.isolated
     vertices = [start]
     edges: list[tuple[int, int]] = []
@@ -160,17 +159,6 @@ def is_perfect_by_gcd(k: int, l: int, n: int) -> bool:
     return gcd((k - l) % n, n) == 1
 
 
-@lru_cache(maxsize=4096)
-def _modular_index(factor: Factor) -> int | None:
-    """The factor's index when every edge sums to it mod n, else None."""
-    k = factor.index
-    if k is None:
-        return None
-    if any((u + v) % factor.n != k for u, v in factor.edges):
-        return None
-    return k
-
-
 def _union_cycle(f: Factor, g: Factor) -> tuple[int, ...]:
     """Vertices of the union cycle through vertex 0 (even order).
 
@@ -178,9 +166,9 @@ def _union_cycle(f: Factor, g: Factor) -> tuple[int, ...]:
     multigraph), so the component of vertex 0 is a cycle; it is traced by
     alternating an edge of f with an edge of g.
     """
-    pf = f.partners()
-    pg = g.partners()
-    if any(p is None for p in pf) or any(p is None for p in pg):
+    pf = f.partners
+    pg = g.partners
+    if None in pf or None in pg:
         raise ValueError("even-order classification requires perfect matchings")
     cycle = [0]
     v = pf[0]
@@ -206,8 +194,7 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
         perfect = len(walk.vertices) == n
         gcd_perfect = None
         if f.index is not None and g.index is not None:
-            ki = _modular_index(f)
-            li = _modular_index(g)
+            ki, li = f.modular_index, g.modular_index
             if ki is not None and li is not None and ki != li:
                 gcd_perfect = is_perfect_by_gcd(ki, li, n)
         return PairClassification(

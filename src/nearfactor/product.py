@@ -13,9 +13,9 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .factors import Factor
+from .factors import Factor, Factorization
 from .numtheory import gcd, half_mod
-from .pairing import classify_pair
+from .pairing import count_perfect_pairs
 
 PairVertex = tuple[int, int]
 
@@ -147,14 +147,10 @@ def count_perfect_product_pairs(s: int, t: int) -> int:
     predicted_perfect_product_pairs to observe the divergence.
     """
     s, t = _check_orders(s, t)
-    flat = [
-        flatten_product_factor(build_product_factor(s, t, k, l))
-        for k in range(s)
-        for l in range(t)
-    ]
-    walked = sum(
-        1 for f, g in combinations(flat, 2) if classify_pair(f, g).perfect
+    flat = tuple(
+        build_product_factor(s, t, k, l).flattened() for k in range(s) for l in range(t)
     )
+    walked = count_perfect_pairs(Factorization(n=s * t, factors=flat))
     if gcd(s, t) == 1:
         predicted = predicted_perfect_product_pairs(s, t)
         if walked != predicted:

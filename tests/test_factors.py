@@ -11,6 +11,7 @@ from nearfactor.factors import (
     make_edge,
     validate_factor,
 )
+from nearfactor.pairing import classify_pair
 
 
 def test_make_edge_canonical():
@@ -160,6 +161,11 @@ def test_even_family_does_not_partition():
 def test_factor_json_roundtrip():
     f = build_modular_factor(9, 4)
     assert Factor.from_dict(f.to_dict()) == f
+    classify_pair(f, build_modular_factor(9, 0))  # fills the per-instance memo
+    assert f.partners is f.partners
+    fresh = Factor.from_dict(f.to_dict())
+    assert fresh == f and hash(fresh) == hash(f)
+    assert fresh.to_dict() == f.to_dict()
     data = f.to_dict()
     assert data["edges"] == [[u, v] for u, v in f.edges]
     assert data["n"] == 9 and data["index"] == 4

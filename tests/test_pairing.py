@@ -45,6 +45,21 @@ def test_union_walk_rejects_bad_pairs():
         union_walk(f5, build_modular_factor(5, 0))
 
 
+def test_classify_pair_raises_on_every_call_for_malformed_factors():
+    # a failed partner array is not remembered: the second call raises too
+    doubled = Factor(n=5, edges=((1, 4), (2, 4)), isolated=0)
+    doubled_even = Factor(n=4, edges=((0, 1), (0, 2)))
+    cases = (
+        (doubled, build_modular_factor(5, 1)),
+        (build_modular_factor(5, 1), doubled),
+        (doubled_even, Factor(n=4, edges=((0, 3), (1, 2)))),
+    )
+    for f, g in cases:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="covered twice"):
+                classify_pair(f, g)
+
+
 def test_union_walk_never_revisits():
     for n in range(3, 26, 2):
         fz = build_modular_factorization(n)
@@ -119,10 +134,12 @@ def test_classify_pair_symmetric():
 def test_classify_pair_skips_gcd_for_unlabeled_factors():
     f = Factor(n=5, edges=((1, 4), (2, 3)), isolated=0)
     g = Factor(n=5, edges=((0, 1), (2, 4)), isolated=3)
-    outcome = classify_pair(f, g)
-    assert outcome.perfect is True
-    assert outcome.gcd_perfect is None
-    assert outcome.criterion_agreement is None
+    mislabeled = Factor(n=5, edges=f.edges, isolated=0, index=2)  # edges sum to 0
+    for pair in ((f, g), (mislabeled, build_modular_factor(5, 1))):
+        outcome = classify_pair(*pair)
+        assert outcome.perfect is True
+        assert outcome.gcd_perfect is None
+        assert outcome.criterion_agreement is None
 
 
 def test_classify_pair_even_order():
