@@ -31,7 +31,7 @@ from .factors import (
 )
 from .numtheory import totient
 from .oracle import CostGuardError, oracle_summary
-from .pairing import classify_pair, count_perfect_pairs
+from .pairing import _is_perfect, classify_pair, count_perfect_pairs, is_perfect_by_gcd
 from .equivalence import build_equivalence_report
 
 EXIT_OK = 0
@@ -164,11 +164,11 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     agree = True
     verdicts = [[0] * n for _ in range(n)]
     for f, g in combinations(fz.factors, 2):
-        outcome = classify_pair(f, g)
-        if outcome.perfect:
+        perfect = _is_perfect(f, g)
+        if perfect:
             count += 1
             verdicts[f.index][g.index] = verdicts[g.index][f.index] = 1
-        if outcome.criterion_agreement is False:
+        if is_perfect_by_gcd(f.index, g.index, n) != perfect:
             agree = False
     formula_value = n * totient(n) // 2
     payload = {

@@ -204,8 +204,47 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
     return PairClassification(n=n, perfect=len(cycle) == n, cycle=cycle)
 
 
+def _is_perfect(f: Factor, g: Factor) -> bool:
+    """`classify_pair(f, g).perfect`, errors included, without a witness.
+
+    Odd order walks the cached partner arrays exactly as union_walk does but
+    only counts the vertices reached.  Because both partner arrays are
+    involutions, the first vertex the walk could revisit is its start, so
+    checking `v == start` replaces the `seen` set.  An isolated label outside
+    0..n-1 is left to union_walk, which indexes (or fails) with it as is.
+    """
+    n = _check_same_order(f, g)
+    if f.edges == g.edges:
+        raise ValueError("factors must be distinct")
+    if n % 2 == 0:
+        return len(_union_cycle(f, g)) == n
+    start = f.isolated
+    if start is None or g.isolated is None:
+        raise ValueError("both factors need an isolated vertex (odd order)")
+    pg = g.partners
+    pf = f.partners
+    if not 0 <= start < n:
+        return len(union_walk(f, g).vertices) == n
+    reached = 1
+    v = pg[start]
+    while v is not None:
+        reached += 1
+        if v == start:
+            break
+        v = pf[v]
+        if v is None:
+            break
+        reached += 1
+        if v == start:
+            break
+        v = pg[v]
+    return reached == n
+
+
 def count_perfect_pairs(fz: Factorization) -> int:
-    """Number of unordered perfect pairs among the factors, by traversal."""
-    return sum(
-        1 for f, g in combinations(fz.factors, 2) if classify_pair(f, g).perfect
-    )
+    """Number of unordered perfect pairs among the factors, by traversal.
+
+    Counts with the witness-free kernel; classify_pair and union_walk give
+    the verdict of one pair together with its path or cycle.
+    """
+    return sum(1 for f, g in combinations(fz.factors, 2) if _is_perfect(f, g))

@@ -116,9 +116,10 @@ def is_perfect_product_pair(
 def product_bound(s: int, t: int, c_s: int, c_t: int) -> int:
     """Perfect pairs guaranteed on K_{s*t} by combining counts: 2 * c_s * c_t.
 
-    s and t label the constituent orders the counts refer to; the bound
-    itself depends only on the two counts.
+    s and t are the constituent orders the counts refer to (odd, >= 3); the
+    bound itself depends only on the two counts.
     """
+    _check_orders(s, t)
     c_s = operator.index(c_s)
     c_t = operator.index(c_t)
     if c_s < 0 or c_t < 0:

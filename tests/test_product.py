@@ -85,6 +85,10 @@ def test_product_bound_examples():
     assert product_bound(5, 7, 10, 21) == 420
     with pytest.raises(ValueError):
         product_bound(3, 5, -1, 10)
+    with pytest.raises(ValueError, match="constituent order s"):
+        product_bound(4, 5, 1, 1)
+    with pytest.raises(ValueError, match="constituent order s"):
+        product_bound(True, 5, 1, 1)
 
 
 def test_count_perfect_product_pairs_coprime():
