@@ -162,12 +162,13 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     fz = build_modular_factorization(n)
     count = 0
     agree = True
-    verdicts = [[0] * n for _ in range(n)]
+    verdicts = [[0] * n for _ in range(n)] if args.matrix else None
     for f, g in combinations(fz.factors, 2):
         perfect = _is_perfect(f, g)
         if perfect:
             count += 1
-            verdicts[f.index][g.index] = verdicts[g.index][f.index] = 1
+            if verdicts is not None:
+                verdicts[f.index][g.index] = verdicts[g.index][f.index] = 1
         if is_perfect_by_gcd(f.index, g.index, n) != perfect:
             agree = False
     formula_value = n * totient(n) // 2

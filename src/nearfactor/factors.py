@@ -57,6 +57,27 @@ class Factor:
         if self.index is not None:
             object.__setattr__(self, "index", operator.index(self.index))
 
+    @classmethod
+    def _prebuilt(
+        cls,
+        n: int,
+        edges: tuple[Edge, ...],
+        isolated: int | None,
+        partners: tuple[int | None, ...],
+    ) -> "Factor":
+        """An unlabelled factor from parts already in canonical form.
+
+        Skips __post_init__ and seeds the `partners` cache.  Precondition,
+        not checked: `n` is an int >= 3, `edges` is a sorted tuple of
+        (min, max) int pairs, and `partners` is exactly the partner tuple
+        that `Factor.partners` would build from them.
+        """
+        f = object.__new__(cls)
+        vars(f).update(
+            n=n, edges=edges, isolated=isolated, index=None, partners=partners
+        )
+        return f
+
     @cached_property
     def partners(self) -> tuple[int | None, ...]:
         """Vertex -> matched partner (None where uncovered), built once.

@@ -48,7 +48,9 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     Edges are assigned in lexicographic order; the factor assigned to an
     edge {u, v} may be any factor other than u and v whose matching does not
     yet touch u or v (per-vertex bitmasks).  Emitted factorizations carry
-    factors sorted by their edge lists; factor indices are left unset.
+    factors sorted by their edge lists; factor indices are left unset.  Each
+    factor arrives with its partner array already built, so counting never
+    rebuilds it.
     """
     n = _check_enumerable(n)
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -60,15 +62,25 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     assigned = [0] * m
 
     def emit() -> Factorization:
-        per_factor: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for pos, e in enumerate(edge_list):
-            per_factor[assigned[pos]].append(e)
-        factors = [
-            Factor(n=n, edges=tuple(per_factor[c]), isolated=c, index=None)
-            for c in range(n)
-        ]
-        factors.sort(key=lambda f: f.edges)
-        return Factorization(n=n, factors=tuple(factors))
+        # One pass fills each factor's edges (canonical and in lex order,
+        # since edge_list is) and its partner array.
+        edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        partners: list[list[int | None]] = [[None] * n for _ in range(n)]
+        for e, c in zip(edge_list, assigned):
+            edges[c].append(e)
+            p = partners[c]
+            u, v = e
+            p[u] = v
+            p[v] = u
+        # Sorted by edge list = sorted by first edge: the factors holding
+        # (0, 1), ..., (0, n-1), then factor 0, which isolates vertex 0.
+        return Factorization(
+            n=n,
+            factors=tuple(
+                Factor._prebuilt(n, tuple(edges[c]), c, tuple(partners[c]))
+                for c in assigned[: n - 1] + [0]
+            ),
+        )
 
     def search(pos: int) -> Iterator[Factorization]:
         if pos == m:

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 
+import nearfactor.cli
 from nearfactor.cli import main
 from nearfactor.factors import Factor, build_modular_factorization
+from nearfactor.pairing import is_perfect_by_gcd
 
 
 def run(capsys, *argv):
@@ -99,6 +102,36 @@ def test_pairs_matrix(capsys):
         assert sum(matrix[k]) == 8  # phi(15) partners per index
         for l in range(15):
             assert matrix[k][l] == matrix[l][k]
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairs_allocates_the_matrix_only_with_matrix_flag(capsys, monkeypatch):
+    # The gcd criterion decides modular pairs exactly as the walk does and
+    # allocates nothing, so swapping it in keeps the run short without
+    # changing what cmd_pairs itself allocates.
+    monkeypatch.setattr(
+        nearfactor.cli,
+        "_is_perfect",
+        lambda f, g: is_perfect_by_gcd(f.index, g.index, f.n),
+    )
+    n = 301
+    matrix_pointers = 8 * n * n
+    family = _peak_bytes(lambda: build_modular_factorization(n))
+    plain = _peak_bytes(lambda: main(["pairs", "--n", str(n)]))
+    with_matrix = _peak_bytes(lambda: main(["pairs", "--n", str(n), "--matrix"]))
+    out = capsys.readouterr().out.splitlines()
+    assert json.loads(out[0])["agree"] is True
+    assert len(json.loads(out[1])["matrix"]) == n
+    assert plain - family < matrix_pointers // 2
+    assert plain + matrix_pointers < with_matrix
 
 
 def test_pairs_rejects_even_order(capsys):

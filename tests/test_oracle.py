@@ -1,10 +1,14 @@
+import hashlib
 import io
 import json
-from itertools import combinations, islice
+from functools import cached_property
+from itertools import chain, combinations, islice
 
 import pytest
 
+import nearfactor.factors
 from nearfactor.factors import (
+    Factor,
     Factorization,
     build_modular_factor,
     build_modular_factorization,
@@ -141,6 +145,61 @@ def test_ndjson_dump_roundtrip():
     assert {_canonical(fz) for fz in parsed} == {
         _canonical(fz) for fz in enumerate_factorizations(5)
     }
+
+
+# sha256 of write_factorizations_ndjson output: n -> (lines, digest).
+NDJSON_SHA256 = {
+    5: (6, "850685125e7525ece24b9fefad07cac3a9ecab9d082de681994d7a2d07ea180d"),
+    7: (6240, "020eb4b62c868806657185d393d9c9fa4836e9f66e7f21b7f1e5edf405e98335"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(NDJSON_SHA256))
+def test_ndjson_dump_is_byte_stable(n):
+    buffer = io.StringIO()
+    assert write_factorizations_ndjson(n, buffer) == NDJSON_SHA256[n][0]
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digest == NDJSON_SHA256[n][1]
+
+
+def test_enumerated_factors_match_their_public_rebuild():
+    """Pre-built oracle factors equal what the public constructor builds.
+
+    Covers the whole n = 7 stream and the first 3000 factorizations at n = 9:
+    equality through to_dict/from_dict, factor order, the handed-over
+    partner array (kept, not rebuilt on access) and the hash.
+    """
+    stream = chain(
+        enumerate_factorizations(7), islice(enumerate_factorizations(9), 3000)
+    )
+    for fz in stream:
+        rebuilt = Factorization.from_dict(fz.to_dict())
+        assert fz == rebuilt
+        assert list(fz.factors) == sorted(fz.factors, key=lambda f: f.edges)
+        for f, r in zip(fz.factors, rebuilt.factors):
+            assert f.partners == r.partners
+            assert f.partners is f.partners
+            assert hash(f) == hash(r)
+
+
+def test_oracle_builds_factors_without_canonicalising_or_rebuilding(monkeypatch):
+    """The oracle hands over finished factors: no make_edge, no partner build.
+
+    A partner array seeded on the instance shadows the class attribute, so
+    replacing `Factor.partners` with one that raises only fires for a factor
+    whose array was not handed over.
+    """
+
+    def refuse(*args):
+        raise AssertionError("factor rebuilt inside the oracle")
+
+    rebuild = cached_property(refuse)
+    rebuild.__set_name__(Factor, "partners")
+    monkeypatch.setattr(nearfactor.factors, "make_edge", refuse)
+    monkeypatch.setattr(Factor, "partners", rebuild)
+    summary = oracle_summary(7)
+    assert summary.exact_c == 21
+    assert summary.factorizations_seen == 6240
 
 
 def test_perfect_counts_vary_across_k5_factorizations():
