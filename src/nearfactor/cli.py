@@ -229,7 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             data = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON in {args.input}: {exc}") from None
     try:
         fz = Factorization.from_dict(data)

@@ -9,6 +9,7 @@ family indexed by k collects the edges {i, j} with (i + j) % n == k.
 from __future__ import annotations
 
 import operator
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -116,9 +117,22 @@ class Factor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Factor":
+        """The factor a to_dict() record describes.
+
+        Raises ValueError for an edge that does not have exactly two
+        endpoints; other malformed records raise KeyError, TypeError or
+        IndexError.
+        """
+        edges = []
+        for e in data["edges"]:
+            if len(e) != 2:
+                raise ValueError(
+                    f"edge {reprlib.repr(e)} must have exactly two endpoints"
+                )
+            edges.append((e[0], e[1]))
         return cls(
             n=data["n"],
-            edges=tuple((e[0], e[1]) for e in data["edges"]),
+            edges=tuple(edges),
             isolated=data.get("isolated"),
             index=data.get("index"),
         )

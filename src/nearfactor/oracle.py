@@ -47,10 +47,12 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
 
     Edges are assigned in lexicographic order; the factor assigned to an
     edge {u, v} may be any factor other than u and v whose matching does not
-    yet touch u or v (per-vertex bitmasks).  Emitted factorizations carry
-    factors sorted by their edge lists; factor indices are left unset.  Each
-    factor arrives with its partner array already built, so counting never
-    rebuilds it.
+    yet touch u or v (per-vertex bitmasks), lowest factor first.  Emitted
+    factorizations carry factors sorted by their edge lists; factor indices
+    are left unset.  Each factor arrives with its partner array already
+    built, so counting never rebuilds it.  Within one call, equal factors
+    are one shared (immutable) object: each distinct factor is built once,
+    when it first completes, and the memo is dropped with the generator.
     """
     n = _check_enumerable(n)
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -59,46 +61,62 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     # used[v] = bitmask of factors already matching vertex v; factor v itself
     # is banned at v from the start, which pins "factor p isolates vertex p".
     used = [1 << v for v in range(n)]
+    # held[c] = bitmask of the edge positions assigned to factor c.  At a
+    # leaf the mask alone determines the factor (c is the one vertex its
+    # edges miss), so it is the key of `built`, this run's memo of factors.
+    held = [0] * n
     assigned = [0] * m
+    avail = [0] * m
+    built: dict[int, Factor] = {}
 
-    def emit() -> Factorization:
-        # One pass fills each factor's edges (canonical and in lex order,
-        # since edge_list is) and its partner array.
-        edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        partners: list[list[int | None]] = [[None] * n for _ in range(n)]
-        for e, c in zip(edge_list, assigned):
-            edges[c].append(e)
-            p = partners[c]
-            u, v = e
-            p[u] = v
-            p[v] = u
-        # Sorted by edge list = sorted by first edge: the factors holding
-        # (0, 1), ..., (0, n-1), then factor 0, which isolates vertex 0.
-        return Factorization(
-            n=n,
-            factors=tuple(
-                Factor._prebuilt(n, tuple(edges[c]), c, tuple(partners[c]))
-                for c in assigned[: n - 1] + [0]
-            ),
-        )
+    def build(c: int, mask: int) -> Factor:
+        edges = [e for pos, e in enumerate(edge_list) if mask >> pos & 1]
+        partners: list[int | None] = [None] * n
+        for u, v in edges:
+            partners[u] = v
+            partners[v] = u
+        built[mask] = f = Factor._prebuilt(n, tuple(edges), c, tuple(partners))
+        return f
 
-    def search(pos: int) -> Iterator[Factorization]:
-        if pos == m:
-            yield emit()
-            return
-        u, v = edge_list[pos]
-        avail = full & ~(used[u] | used[v])
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
+    # Explicit-stack backtracking: avail[pos] holds the factors still to try
+    # at edge pos and assigned[pos] the current one.  Every assignment is
+    # undone once, right after its leaf is yielded or its subtree exhausted.
+    last = m - 1
+    pos = 0
+    avail[0] = full & ~(used[0] | used[1])  # edge (0, 1)
+    while True:
+        free = avail[pos]
+        if free:
+            bit = free & -free
+            avail[pos] = free ^ bit
+            u, v = edge_list[pos]
             used[u] |= bit
             used[v] |= bit
-            assigned[pos] = bit.bit_length() - 1
-            yield from search(pos + 1)
-            used[u] ^= bit
-            used[v] ^= bit
-
-    yield from search(0)
+            c = assigned[pos] = bit.bit_length() - 1
+            held[c] |= 1 << pos
+            if pos < last:
+                pos += 1
+                u, v = edge_list[pos]
+                avail[pos] = full & ~(used[u] | used[v])
+                continue
+            # Sorted by edge list = sorted by first edge: the factors holding
+            # (0, 1), ..., (0, n-1), then factor 0, which isolates vertex 0.
+            factors = []
+            for k in assigned[: n - 1] + [0]:
+                mask = held[k]
+                f = built.get(mask)
+                factors.append(build(k, mask) if f is None else f)
+            yield Factorization(n=n, factors=tuple(factors))
+        else:
+            pos -= 1
+            if pos < 0:
+                return
+            u, v = edge_list[pos]
+            c = assigned[pos]
+            bit = 1 << c
+        used[u] ^= bit
+        used[v] ^= bit
+        held[c] ^= 1 << pos
 
 
 @dataclass(frozen=True)

@@ -204,27 +204,14 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
     return PairClassification(n=n, perfect=len(cycle) == n, cycle=cycle)
 
 
-def _is_perfect(f: Factor, g: Factor) -> bool:
-    """`classify_pair(f, g).perfect`, errors included, without a witness.
+def _reached(
+    pf: tuple[int | None, ...], pg: tuple[int | None, ...], start: int
+) -> int:
+    """Vertices reached from f's isolated vertex `start`, by g-edge then f-edge.
 
-    Odd order walks the cached partner arrays exactly as union_walk does but
-    only counts the vertices reached.  Because both partner arrays are
-    involutions, the first vertex the walk could revisit is its start, so
-    checking `v == start` replaces the `seen` set.  An isolated label outside
-    0..n-1 is left to union_walk, which indexes (or fails) with it as is.
+    Both partner arrays are involutions, so the first vertex the walk could
+    revisit is its start: checking `v == start` replaces a `seen` set.
     """
-    n = _check_same_order(f, g)
-    if f.edges == g.edges:
-        raise ValueError("factors must be distinct")
-    if n % 2 == 0:
-        return len(_union_cycle(f, g)) == n
-    start = f.isolated
-    if start is None or g.isolated is None:
-        raise ValueError("both factors need an isolated vertex (odd order)")
-    pg = g.partners
-    pf = f.partners
-    if not 0 <= start < n:
-        return len(union_walk(f, g).vertices) == n
     reached = 1
     v = pg[start]
     while v is not None:
@@ -238,13 +225,72 @@ def _is_perfect(f: Factor, g: Factor) -> bool:
         if v == start:
             break
         v = pg[v]
-    return reached == n
+    return reached
+
+
+def _is_perfect(f: Factor, g: Factor) -> bool:
+    """`classify_pair(f, g).perfect`, errors included, without a witness.
+
+    Odd order walks the cached partner arrays exactly as union_walk does but
+    only counts the vertices reached.  An isolated label outside 0..n-1 is
+    left to union_walk, which indexes (or fails) with it as is.
+    """
+    n = _check_same_order(f, g)
+    if f.edges == g.edges:
+        raise ValueError("factors must be distinct")
+    if n % 2 == 0:
+        return len(_union_cycle(f, g)) == n
+    start = f.isolated
+    if start is None or g.isolated is None:
+        raise ValueError("both factors need an isolated vertex (odd order)")
+    pg = g.partners
+    pf = f.partners
+    if not 0 <= start < n:
+        return len(union_walk(f, g).vertices) == n
+    return _reached(pf, pg, start) == n
+
+
+def _walk_inputs(
+    fz: Factorization,
+) -> list[tuple[tuple[int | None, ...], int]] | None:
+    """(partner array, isolated vertex) of every factor, when all pairs walk.
+
+    None unless `_is_perfect` would walk every pair: one odd order, every
+    isolated vertex set and in range, pairwise distinct edge lists and
+    partner arrays that build.
+    """
+    factors = fz.factors
+    n = factors[0].n if factors else 0
+    if n % 2 == 0 or len({f.edges for f in factors}) != len(factors):
+        return None
+    inputs = []
+    for f in factors:
+        start = f.isolated
+        if f.n != n or start is None or not 0 <= start < n:
+            return None
+        try:
+            inputs.append((f.partners, start))
+        except ValueError:
+            return None
+    return inputs
 
 
 def count_perfect_pairs(fz: Factorization) -> int:
     """Number of unordered perfect pairs among the factors, by traversal.
 
-    Counts with the witness-free kernel; classify_pair and union_walk give
-    the verdict of one pair together with its path or cycle.
+    Counts with the witness-free walk; classify_pair and union_walk give
+    the verdict of one pair together with its path or cycle.  The checks
+    `_is_perfect` makes on each pair are made once for the whole
+    factorization; when one fails, every pair goes through `_is_perfect`,
+    so the error raised is the one of the first failing pair in
+    `combinations` order.
     """
-    return sum(1 for f, g in combinations(fz.factors, 2) if _is_perfect(f, g))
+    inputs = _walk_inputs(fz)
+    if inputs is None:
+        return sum(1 for f, g in combinations(fz.factors, 2) if _is_perfect(f, g))
+    n = fz.factors[0].n
+    count = 0
+    for (pf, start), (pg, _) in combinations(inputs, 2):
+        if _reached(pf, pg, start) == n:
+            count += 1
+    return count

@@ -237,6 +237,27 @@ def test_verify_missing_and_malformed_files(tmp_path, capsys):
     assert run(capsys, "verify", "--input", str(path2))[0] == 2
 
 
+def test_verify_rejects_an_edge_with_extra_endpoints(tmp_path, capsys):
+    fz = build_modular_factorization(5).to_dict()
+    fz["factors"][0]["edges"][0] += [3, 4]  # [1, 4, 3, 4] used to load as (1, 4)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(fz))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: edge [1, 4, 3, 4] must have exactly two endpoints\n"
+
+
+def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+    assert "Traceback" not in err
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "factor.json"
     code, out, _ = run(

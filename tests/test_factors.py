@@ -171,6 +171,19 @@ def test_factor_json_roundtrip():
     assert data["n"] == 9 and data["index"] == 4
 
 
+@pytest.mark.parametrize(
+    "edge, shown",
+    [([1, 2, 3, 4], "[1, 2, 3, 4]"), ([1, 2, 3], "[1, 2, 3]"), ([1], "[1]"),
+     ([], "[]"), (list(range(50)), "[0, 1, 2, 3, 4, 5, ...]")],
+)
+def test_factor_from_dict_requires_two_endpoints_per_edge(edge, shown):
+    data = build_modular_factor(5, 0).to_dict()
+    data["edges"].append(edge)
+    with pytest.raises(ValueError) as excinfo:
+        Factor.from_dict(data)
+    assert str(excinfo.value) == f"edge {shown} must have exactly two endpoints"
+
+
 def test_factorization_json_roundtrip():
     fz = build_modular_factorization(7)
     again = Factorization.from_dict(fz.to_dict())

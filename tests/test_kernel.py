@@ -1,18 +1,22 @@
 """The witness-free counting kernel against the witness path and the oracle.
 
 `_is_perfect` must return exactly `classify_pair(f, g).perfect`, raising the
-same errors, on any pair of factors, well-formed or not; `count_perfect_pairs`
-counts through it and must build no witness.
+same errors, on any pair of factors, well-formed or not.  `count_perfect_pairs`
+must equal the sum of `_is_perfect` over all pairs, or raise the error of the
+first failing pair, and must build no witness.
 """
 
 import random
 import tracemalloc
 from itertools import combinations, islice
 
+import pytest
+
 import nearfactor.pairing as pairing
 from nearfactor.factors import (
     Factor,
     Factorization,
+    build_modular_factor_even,
     build_modular_factorization,
     factorization_problems,
 )
@@ -83,6 +87,94 @@ def test_kernel_matches_classify_pair_on_random_pairs():
         assert _outcome(_is_perfect, f, g) == expected, (f, g)
         outcomes.add(expected if isinstance(expected, bool) else expected[0])
     assert outcomes == {True, False, "ValueError", "IndexError"}
+
+
+def _per_pair(fz: Factorization):
+    """The reference count: every pair through `_is_perfect`, in order."""
+    try:
+        return sum(_is_perfect(f, g) for f, g in combinations(fz.factors, 2))
+    except (ValueError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_factorization(rng: random.Random, streams: dict) -> Factorization:
+    """A shuffled whole factorization, or up to six random factors.
+
+    The random factors may carry a repeated factor, one of another order or
+    one sharing all but two edges with another.
+    """
+    n = rng.choice([3, 4, 5, 7, 9])
+    kind = rng.random()
+    if kind < 0.2 and n % 2:
+        whole = rng.choice([build_modular_factorization(n), *streams[n]])
+        factors = list(whole.factors)
+        rng.shuffle(factors)
+        return Factorization(n=n, factors=tuple(factors))
+    shapes = ["well-formed"] * 12 + ["partial", "wrong-isolated", "malformed"]
+    factors = [_factor(rng, n, rng.choice(shapes)) for _ in range(rng.randrange(7))]
+    if factors and kind < 0.35:
+        factors.insert(rng.randrange(len(factors) + 1), rng.choice(factors))
+    elif factors and kind < 0.45:
+        other = _factor(rng, n + 2, "well-formed")
+        factors.insert(rng.randrange(len(factors) + 1), other)
+    elif factors and kind < 0.5:
+        factors.append(_sharing(rng, rng.choice(factors)))
+    return Factorization(n=n, factors=tuple(factors))
+
+
+def test_count_fast_path_matches_per_pair_reference():
+    """count_perfect_pairs equals the per-pair sum, or raises its first error.
+
+    Covers both the whole-factorization walk (preconditions hold) and the
+    per-pair fallback: mismatched orders, repeated factors, even order,
+    missing or out-of-range isolated vertices, malformed factors, and 0 or
+    1 factors.
+    """
+    streams = {n: list(islice(enumerate_factorizations(n), 200)) for n in (3, 5, 7, 9)}
+    rng = random.Random(5)
+    seen = set()  # (fast path taken, some pair perfect or the error type)
+    for _ in range(3000):
+        fz = _random_factorization(rng, streams)
+        expected = _per_pair(fz)
+        try:
+            got = count_perfect_pairs(fz)
+        except (ValueError, IndexError) as exc:
+            got = type(exc).__name__, str(exc)
+        assert got == expected, fz
+        outcome = expected[0] if isinstance(expected, tuple) else expected > 0
+        seen.add((pairing._walk_inputs(fz) is not None, outcome))
+    assert seen == {
+        (True, True),
+        (True, False),
+        (False, True),
+        (False, False),
+        (False, "ValueError"),
+        (False, "IndexError"),
+    }
+
+
+def test_count_fast_path_edge_cases():
+    f, g = build_modular_factorization(5).factors[:2]
+    assert count_perfect_pairs(Factorization(n=5, factors=())) == 0
+    assert count_perfect_pairs(Factorization(n=5, factors=(f,))) == 0
+    h = build_modular_factorization(7).factors[0]
+    unset = Factor(n=5, edges=f.edges)
+    for factors, message in [
+        ((f, g, f), "factors must be distinct"),
+        ((f, h), "mismatched graph orders: 5 vs 7"),
+        ((unset, g), "both factors need an isolated vertex (odd order)"),
+    ]:
+        fz = Factorization(n=5, factors=factors)
+        assert pairing._walk_inputs(fz) is None
+        with pytest.raises(ValueError) as excinfo:
+            count_perfect_pairs(fz)
+        assert str(excinfo.value) == message
+        assert _per_pair(fz) == ("ValueError", message)
+    even = Factorization(
+        n=6, factors=tuple(build_modular_factor_even(6, k) for k in (1, 3, 5))
+    )
+    assert pairing._walk_inputs(even) is None
+    assert count_perfect_pairs(even) == _per_pair(even) == 3
 
 
 def test_count_agrees_with_witness_path_and_oracle_on_n9_prefix():

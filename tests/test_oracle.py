@@ -182,6 +182,33 @@ def test_enumerated_factors_match_their_public_rebuild():
             assert hash(f) == hash(r)
 
 
+def test_enumeration_builds_each_distinct_factor_once_per_run(monkeypatch):
+    """K_7 has 7 * 5!! = 105 near-one-factors; a run builds each one once."""
+    built = []
+    prebuilt = Factor._prebuilt.__func__
+
+    def counted(cls, *args):
+        f = prebuilt(cls, *args)
+        built.append(f)
+        return f
+
+    monkeypatch.setattr(Factor, "_prebuilt", classmethod(counted))
+    by_value = {}
+    for fz in enumerate_factorizations(7):
+        for f in fz.factors:
+            assert by_value.setdefault(f, f) is f
+    assert len(built) == 105
+    assert len(by_value) == 105
+    assert {id(f) for f in by_value} == {id(f) for f in built}
+
+
+def test_enumeration_runs_share_no_factor():
+    first = {id(f): f for fz in enumerate_factorizations(5) for f in fz.factors}
+    second = {id(f): f for fz in enumerate_factorizations(5) for f in fz.factors}
+    assert set(first) & set(second) == set()
+    assert set(first.values()) == set(second.values())
+
+
 def test_oracle_builds_factors_without_canonicalising_or_rebuilding(monkeypatch):
     """The oracle hands over finished factors: no make_edge, no partner build.
 
@@ -239,6 +266,27 @@ def test_k9_stream_prefix_and_lower_bound_witness():
         )
         == 27
     )
+
+
+# sha256 of the NDJSON encoding of the first 2000 n = 9 factorizations.
+K9_PREFIX_SHA256 = "a3fad90ab264353da0803a63398182c8ba6c438dc1869ed41af6ab5f36e0385a"
+
+
+def test_k9_stream_order_is_pinned():
+    """The n = 9 stream order, byte for byte over its first 2000 items.
+
+    [26, 10738] (best and total perfect pairs over the first 500) is the
+    value the benchmark checks the n = 9 prefix against.
+    """
+    digest = hashlib.sha256()
+    counts = []
+    for fz in islice(enumerate_factorizations(9), 2000):
+        line = json.dumps(fz.to_dict(), sort_keys=True, separators=(",", ":"))
+        digest.update(line.encode() + b"\n")
+        if len(counts) < 500:
+            counts.append(count_perfect_pairs(fz))
+    assert [max(counts), sum(counts)] == [26, 10738]
+    assert digest.hexdigest() == K9_PREFIX_SHA256
 
 
 @pytest.mark.expensive
