@@ -10,15 +10,14 @@ n * phi(n) / 2 == 2 * (s * phi(s) / 2) * (t * phi(t) / 2) for n = s * t.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
+from ._record import Record
 from .factors import build_modular_factor
 from .numtheory import gcd, totient
 from .product import _check_orders, build_product_factor, product_bound
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """Outcome of the full factor-by-factor comparison for one (s, t)."""
 
     s: int
@@ -30,6 +29,30 @@ class EquivalenceReport:
     product_bound: int
     bounds_equal: bool
     failures: tuple[int, ...]
+
+    def __init__(
+        self,
+        s: int,
+        t: int,
+        n: int,
+        index_map: tuple[tuple[int, int, int], ...],
+        all_edge_sets_equal: bool,
+        direct_bound: int,
+        product_bound: int,
+        bounds_equal: bool,
+        failures: tuple[int, ...],
+    ) -> None:
+        vars(self).update(
+            s=s,
+            t=t,
+            n=n,
+            index_map=index_map,
+            all_edge_sets_equal=all_edge_sets_equal,
+            direct_bound=direct_bound,
+            product_bound=product_bound,
+            bounds_equal=bounds_equal,
+            failures=failures,
+        )
 
     def to_dict(self) -> dict:
         return {

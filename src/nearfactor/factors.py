@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import operator
 import reprlib
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
+from ._record import Record
 from .numtheory import Residue, half_mod
 
 Edge = tuple[int, int]
+
+# The most uncovered vertices validate_factor names in its reason.
+_NAMED_UNCOVERED = 10
 
 
 def make_edge(u: int, v: int) -> Edge:
@@ -27,8 +31,14 @@ def make_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Factor:
+def _not_bool(value, name: str):
+    """`value`, refused if it is a boolean: operator.index(True) == 1."""
+    if value.__class__ is bool:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+class Factor(Record):
     """One (near-)one-factor: a set of edges on the vertices 0..n-1.
 
     Edges are stored canonically ((min, max), lexicographically sorted).
@@ -43,20 +53,25 @@ class Factor:
 
     n: int
     edges: tuple[Edge, ...]
-    isolated: int | None = None
-    index: int | None = None
+    isolated: int | None
+    index: int | None
 
-    def __post_init__(self) -> None:
-        n = operator.index(self.n)
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[Edge, ...],
+        isolated: int | None = None,
+        index: int | None = None,
+    ) -> None:
+        n = operator.index(n)
         if n < 3:
             raise ValueError(f"graph order must be >= 3, got {n}")
-        object.__setattr__(self, "n", n)
-        canon = sorted(make_edge(u, v) for u, v in self.edges)
-        object.__setattr__(self, "edges", tuple(canon))
-        if self.isolated is not None:
-            object.__setattr__(self, "isolated", operator.index(self.isolated))
-        if self.index is not None:
-            object.__setattr__(self, "index", operator.index(self.index))
+        edges = tuple(sorted(make_edge(u, v) for u, v in edges))
+        if isolated is not None:
+            isolated = operator.index(isolated)
+        if index is not None:
+            index = operator.index(index)
+        vars(self).update(n=n, edges=edges, isolated=isolated, index=index)
 
     @classmethod
     def _prebuilt(
@@ -68,7 +83,7 @@ class Factor:
     ) -> "Factor":
         """An unlabelled factor from parts already in canonical form.
 
-        Skips __post_init__ and seeds the `partners` cache.  Precondition,
+        Skips __init__'s checks and seeds the `partners` cache.  Precondition,
         not checked: `n` is an int >= 3, `edges` is a sorted tuple of
         (min, max) int pairs, and `partners` is exactly the partner tuple
         that `Factor.partners` would build from them.
@@ -120,8 +135,8 @@ class Factor:
         """The factor a to_dict() record describes.
 
         Raises ValueError for an edge that does not have exactly two
-        endpoints; other malformed records raise KeyError, TypeError or
-        IndexError.
+        endpoints and for a boolean where an integer belongs; other
+        malformed records raise KeyError, TypeError or IndexError.
         """
         edges = []
         for e in data["edges"]:
@@ -129,28 +144,29 @@ class Factor:
                 raise ValueError(
                     f"edge {reprlib.repr(e)} must have exactly two endpoints"
                 )
-            edges.append((e[0], e[1]))
+            u, v = e[0], e[1]
+            if u.__class__ is bool or v.__class__ is bool:
+                raise ValueError(f"edge {reprlib.repr(e)} must have integer endpoints")
+            edges.append((u, v))
         return cls(
-            n=data["n"],
+            n=_not_bool(data["n"], "n"),
             edges=tuple(edges),
-            isolated=data.get("isolated"),
-            index=data.get("index"),
+            isolated=_not_bool(data.get("isolated"), "isolated"),
+            index=_not_bool(data.get("index"), "index"),
         )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """A list of factors intended to partition the edge set of K_n."""
 
     n: int
-    factors: tuple[Factor, ...] = field(default_factory=tuple)
+    factors: tuple[Factor, ...]
 
-    def __post_init__(self) -> None:
-        n = operator.index(self.n)
+    def __init__(self, n: int, factors: tuple[Factor, ...] = ()) -> None:
+        n = operator.index(n)
         if n < 3:
             raise ValueError(f"graph order must be >= 3, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", tuple(self.factors))
+        vars(self).update(n=n, factors=tuple(factors))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "factors": [f.to_dict() for f in self.factors]}
@@ -158,17 +174,19 @@ class Factorization:
     @classmethod
     def from_dict(cls, data: dict) -> "Factorization":
         return cls(
-            n=data["n"],
+            n=_not_bool(data["n"], "n"),
             factors=tuple(Factor.from_dict(f) for f in data["factors"]),
         )
 
 
-@dataclass(frozen=True)
-class FactorVerdict:
+class FactorVerdict(Record):
     """Outcome of validate_factor: valid flag plus the first violation found."""
 
     valid: bool
-    reason: str | None = None
+    reason: str | None
+
+    def __init__(self, valid: bool, reason: str | None = None) -> None:
+        vars(self).update(valid=valid, reason=reason)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -179,16 +197,18 @@ def validate_factor(f: Factor) -> FactorVerdict:
 
     Odd order: every vertex except the isolated one is covered exactly once.
     Even order: no isolated vertex, every vertex covered exactly once.
+    Memory is linear in the number of edges, not in the order: the reason
+    names at most ten uncovered vertices and counts the rest.
     """
-    covered = [0] * f.n
+    covered: set[int] = set()
     for u, v in f.edges:
         for w in (u, v):
             if not 0 <= w < f.n:
                 return FactorVerdict(False, f"vertex {w} out of range for order {f.n}")
         for w in (u, v):
-            covered[w] += 1
-            if covered[w] > 1:
+            if w in covered:
                 return FactorVerdict(False, f"vertex {w} covered twice")
+            covered.add(w)
     if f.n % 2 == 1:
         if f.isolated is None:
             return FactorVerdict(False, "odd order requires an isolated vertex")
@@ -196,15 +216,20 @@ def validate_factor(f: Factor) -> FactorVerdict:
             return FactorVerdict(
                 False, f"isolated vertex {f.isolated} out of range for order {f.n}"
             )
-        if covered[f.isolated]:
+        if f.isolated in covered:
             return FactorVerdict(
                 False, f"isolated vertex {f.isolated} is covered by an edge"
             )
     elif f.isolated is not None:
         return FactorVerdict(False, "even order admits no isolated vertex")
-    uncovered = [w for w in range(f.n) if not covered[w] and w != f.isolated]
-    if uncovered:
-        return FactorVerdict(False, f"vertices {set(uncovered)} uncovered")
+    # Every vertex is now covered, isolated (odd order only) or uncovered.
+    missing = f.n - len(covered) - f.n % 2
+    if missing:
+        uncovered = (w for w in range(f.n) if w not in covered and w != f.isolated)
+        named = set(islice(uncovered, _NAMED_UNCOVERED))
+        rest = missing - len(named)
+        more = f" and {rest} more" if rest else ""
+        return FactorVerdict(False, f"vertices {named}{more} uncovered")
     return FactorVerdict(True)
 
 

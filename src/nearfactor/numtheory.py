@@ -4,21 +4,22 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Record):
     """An integer stored normalized into [0, modulus)."""
 
     value: int
     modulus: int
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"residue value {self.value} not in [0, {self.modulus})")
+    def __init__(self, value: int, modulus: int) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if not 0 <= value < modulus:
+            raise ValueError(f"residue value {value} not in [0, {modulus})")
+        vars(self).update(value=value, modulus=modulus)
 
     def __int__(self) -> int:
         return self.value

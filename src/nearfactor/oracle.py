@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator
+from io import TextIOBase
 from itertools import combinations
-from typing import IO, Iterator
 
+from ._record import Record
 from .factors import Factor, Factorization
 from .numtheory import totient
 from .pairing import classify_pair, count_perfect_pairs
@@ -119,12 +120,23 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         held[c] ^= 1 << pos
 
 
-@dataclass(frozen=True)
-class OracleSummary:
+class OracleSummary(Record):
+    """exact_c(n) with the paper's n*phi(n)/2 bound and the enumeration size."""
+
     n: int
     exact_c: int
     lower_bound: int
     factorizations_seen: int
+
+    def __init__(
+        self, n: int, exact_c: int, lower_bound: int, factorizations_seen: int
+    ) -> None:
+        vars(self).update(
+            n=n,
+            exact_c=exact_c,
+            lower_bound=lower_bound,
+            factorizations_seen=factorizations_seen,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -205,7 +217,7 @@ def independent_hamiltonicity_check(f: Factor, g: Factor) -> bool:
     return len(reached) == n
 
 
-def write_factorizations_ndjson(n: int, stream: IO[str]) -> int:
+def write_factorizations_ndjson(n: int, stream: TextIOBase) -> int:
     """Dump every enumerated factorization as one JSON object per line."""
     count = 0
     for fz in enumerate_factorizations(n):

@@ -11,9 +11,9 @@ the union of the two perfect matchings is a single Hamiltonian cycle.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .factors import Factor, Factorization
 from .numtheory import gcd
 
@@ -22,8 +22,7 @@ TERMINAL_CYCLE = "closed-cycle"
 TERMINAL_EARLY = "stopped-early"
 
 
-@dataclass(frozen=True)
-class UnionWalk:
+class UnionWalk(Record):
     """Trace of the alternating walk through the union of two factors.
 
     `terminal` is one of:
@@ -39,6 +38,15 @@ class UnionWalk:
     edges: tuple[tuple[int, int], ...]
     terminal: str
 
+    def __init__(
+        self,
+        start: int,
+        vertices: tuple[int, ...],
+        edges: tuple[tuple[int, int], ...],
+        terminal: str,
+    ) -> None:
+        vars(self).update(start=start, vertices=vertices, edges=edges, terminal=terminal)
+
     def to_dict(self) -> dict:
         return {
             "start": self.start,
@@ -48,8 +56,7 @@ class UnionWalk:
         }
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(Record):
     """Verdict for one pair of factors.
 
     `perfect` comes from the traversal witness (the walk for odd order, the
@@ -60,9 +67,21 @@ class PairClassification:
 
     n: int
     perfect: bool
-    witness: UnionWalk | None = None
-    cycle: tuple[int, ...] | None = None
-    gcd_perfect: bool | None = None
+    witness: UnionWalk | None
+    cycle: tuple[int, ...] | None
+    gcd_perfect: bool | None
+
+    def __init__(
+        self,
+        n: int,
+        perfect: bool,
+        witness: UnionWalk | None = None,
+        cycle: tuple[int, ...] | None = None,
+        gcd_perfect: bool | None = None,
+    ) -> None:
+        vars(self).update(
+            n=n, perfect=perfect, witness=witness, cycle=cycle, gcd_perfect=gcd_perfect
+        )
 
     @property
     def criterion_agreement(self) -> bool | None:

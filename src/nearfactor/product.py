@@ -10,9 +10,9 @@ factor is a near-one-factor of the complete graph on the s*t pair vertices.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .factors import Factor, Factorization
 from .numtheory import gcd, half_mod
 from .pairing import count_perfect_pairs
@@ -20,8 +20,7 @@ from .pairing import count_perfect_pairs
 PairVertex = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ProductFactor:
+class ProductFactor(Record):
     """A near-one-factor of the complete graph on the s*t pair vertices."""
 
     s: int
@@ -30,6 +29,17 @@ class ProductFactor:
     l: int
     edges: tuple[tuple[PairVertex, PairVertex], ...]
     isolated: PairVertex
+
+    def __init__(
+        self,
+        s: int,
+        t: int,
+        k: int,
+        l: int,
+        edges: tuple[tuple[PairVertex, PairVertex], ...],
+        isolated: PairVertex,
+    ) -> None:
+        vars(self).update(s=s, t=t, k=k, l=l, edges=edges, isolated=isolated)
 
     def flatten_vertex(self, pv: PairVertex) -> int:
         """Positional encoding of a pair vertex: (i, j) -> i * t + j."""

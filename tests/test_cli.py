@@ -258,6 +258,41 @@ def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_rejects_booleans_as_vertex_labels(tmp_path, capsys):
+    # Every 1 in the construct output written as true used to verify as valid.
+    code, out, _ = run(capsys, "construct", "--n", "5")
+    assert code == 0
+    path = tmp_path / "true.json"
+    path.write_text(out.replace("1", "true"))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: edge [True, 4] must have integer endpoints\n"
+    data = build_modular_factorization(5).to_dict()
+    data["factors"][2]["isolated"] = True
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: isolated must be an integer, got True\n")
+
+
+def test_verify_reports_a_huge_declared_order_in_bounded_memory(tmp_path, capsys):
+    n = 2_000_001
+    path = tmp_path / "sparse.json"
+    path.write_text('{"n": 2000001, "factors": [{"n": 2000001, "edges": [], "isolated": 0}]}')
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == ""
+    assert json.loads(out)["problems"][1] == (
+        f"factor 0 invalid: vertices {{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}} and {n - 11} more uncovered"
+    )
+    assert peak < 1_000_000
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "factor.json"
     code, out, _ = run(

@@ -1,4 +1,4 @@
-"""The package has no runtime dependencies: the CLI imports only the stdlib."""
+"""What a CLI process imports: the stdlib only, and not all of it."""
 
 import subprocess
 import sys
@@ -12,11 +12,11 @@ PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import nearfactor.cli
-print("\\n".join(sorted({name.partition(".")[0] for name in sys.modules})))
+print("\\n".join(sorted(sys.modules)))
 """
 
 
-def test_cli_imports_only_the_standard_library():
+def _modules_loaded_by_cli() -> list[str]:
     src = str(Path(nearfactor.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", PROBE, src],
@@ -24,11 +24,24 @@ def test_cli_imports_only_the_standard_library():
         text=True,
         check=True,
     )
-    loaded = proc.stdout.split()
+    return proc.stdout.split()
+
+
+def test_cli_imports_only_the_standard_library():
+    loaded = {name.partition(".")[0] for name in _modules_loaded_by_cli()}
     assert "nearfactor" in loaded
     foreign = [
         name
-        for name in loaded
+        for name in sorted(loaded)
         if name not in sys.stdlib_module_names and name not in ("nearfactor", "__main__")
     ]
     assert foreign == []
+
+
+def test_cli_start_skips_dataclasses_inspect_and_typing():
+    # Each costs milliseconds at every CLI start and serves no output:
+    # dataclasses pulls in inspect, ast, dis and tokenize, and typing is only
+    # named in annotations, which the package keeps as strings.
+    loaded = set(_modules_loaded_by_cli())
+    assert "nearfactor.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "typing"})

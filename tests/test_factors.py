@@ -1,8 +1,12 @@
+import json
+import tracemalloc
+
 import pytest
 
 from nearfactor.factors import (
     Factor,
     Factorization,
+    FactorVerdict,
     build_modular_factor,
     build_modular_factor_even,
     build_modular_factorization,
@@ -111,7 +115,7 @@ def test_validate_factor_names_first_violation():
     sparse = Factor(n=5, edges=((1, 4),), isolated=0)
     verdict = validate_factor(sparse)
     assert not verdict
-    assert "uncovered" in verdict.reason and "2" in verdict.reason
+    assert verdict.reason == "vertices {2, 3} uncovered"
 
     out_of_range = Factor(n=5, edges=((1, 7), (2, 3)), isolated=0)
     assert "out of range" in validate_factor(out_of_range).reason
@@ -184,6 +188,36 @@ def test_factor_from_dict_requires_two_endpoints_per_edge(edge, shown):
     assert str(excinfo.value) == f"edge {shown} must have exactly two endpoints"
 
 
+@pytest.mark.parametrize("field", ["n", "isolated", "index"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_factor_from_dict_rejects_booleans(field, flag):
+    data = build_modular_factor(5, 1).to_dict()
+    data[field] = flag
+    with pytest.raises(ValueError) as excinfo:
+        Factor.from_dict(data)
+    assert str(excinfo.value) == f"{field} must be an integer, got {flag}"
+
+
+@pytest.mark.parametrize("edge", [[True, 4], [2, True], [False, 3], [True, False]])
+def test_factor_from_dict_rejects_boolean_endpoints(edge):
+    data = build_modular_factor(5, 0).to_dict()
+    data["edges"][0] = edge
+    with pytest.raises(ValueError) as excinfo:
+        Factor.from_dict(data)
+    assert str(excinfo.value) == f"edge {edge!r} must have integer endpoints"
+
+
+def test_factorization_from_dict_rejects_booleans():
+    data = build_modular_factorization(5).to_dict()
+    data["n"] = True
+    with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+        Factorization.from_dict(data)
+    # Every 1 written as true, as in the JSON a careless tool might emit.
+    data = json.loads(json.dumps(build_modular_factorization(5).to_dict()).replace("1", "true"))
+    with pytest.raises(ValueError, match="must be an integer|must have integer endpoints"):
+        Factorization.from_dict(data)
+
+
 def test_factorization_json_roundtrip():
     fz = build_modular_factorization(7)
     again = Factorization.from_dict(fz.to_dict())
@@ -200,3 +234,43 @@ def test_factorization_problems_clean_and_broken():
     problems = factorization_problems(broken)
     assert problems
     assert any("invalid" in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "factor, reason",
+    [
+        # Texts with at most ten uncovered vertices, as recorded before the cap.
+        (Factor(9, ((2, 3), (4, 5), (6, 7)), 0), "vertices {8, 1} uncovered"),
+        (Factor(8, ((0, 1),)), "vertices {2, 3, 4, 5, 6, 7} uncovered"),
+        (Factor(13, ((0, 1),), 12), "vertices {2, 3, 4, 5, 6, 7, 8, 9, 10, 11} uncovered"),
+        # More than ten: the first ten by label, then the count of the rest.
+        (
+            Factor(14, ((0, 1),)),
+            "vertices {2, 3, 4, 5, 6, 7, 8, 9, 10, 11} and 2 more uncovered",
+        ),
+        (
+            Factor(15, ((5, 9),), 0),
+            "vertices {1, 2, 3, 4, 6, 7, 8, 10, 11, 12} and 2 more uncovered",
+        ),
+    ],
+)
+def test_validate_factor_names_at_most_ten_uncovered_vertices(factor, reason):
+    assert validate_factor(factor) == FactorVerdict(False, reason)
+
+
+def test_validate_factor_memory_is_bounded_by_the_edges():
+    n = 2_000_001
+    document = '{"n": 2000001, "factors": [{"n": 2000001, "edges": [], "isolated": 0}]}'
+    tracemalloc.start()
+    try:
+        problems = factorization_problems(Factorization.from_dict(json.loads(document)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problems == [
+        f"expected {n} factors for order {n}, found 1",
+        "factor 0 invalid: vertices {1, 2, 3, 4, 5, 6, 7, 8, 9, 10} "
+        f"and {n - 11} more uncovered",
+        f"{n * (n - 1) // 2} edges of the complete graph are missing",
+    ]
+    assert peak < 1_000_000
