@@ -56,28 +56,16 @@ def _emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------- rendering
 
 
-def _dot_factor(factor: Factor, name: str) -> list[str]:
-    lines = [f"graph {name} {{"]
+def _factor_dot(factor: Factor) -> str:
+    label = "factor" if factor.index is None else f"factor_{factor.index}"
+    lines = [f"graph {label} {{"]
     for v in range(factor.n):
         mark = ' [shape="doublecircle"]' if v == factor.isolated else ""
         lines.append(f"  {v}{mark};")
     for u, v in factor.edges:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
-    return lines
-
-
-def _factor_dot(factor: Factor) -> str:
-    label = "factor" if factor.index is None else f"factor_{factor.index}"
-    return "\n".join(_dot_factor(factor, label)) + "\n"
-
-
-def _factorization_dot(fz: Factorization) -> str:
-    blocks = []
-    for f in fz.factors:
-        name = f"factor_{f.index}" if f.index is not None else "factor"
-        blocks.extend(_dot_factor(f, name))
-    return "\n".join(blocks) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _witness_dot(f: Factor, g: Factor) -> str:
@@ -108,28 +96,19 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.even:
         if args.k is None:
             raise ValueError("--even requires --k (one factor at a time)")
-        factor = build_modular_factor_even(n, args.k)
+        record = build_modular_factor_even(n, args.k)
     elif args.k is not None:
-        factor = build_modular_factor(n, args.k)
+        record = build_modular_factor(n, args.k)
     else:
-        factor = None
-
-    if factor is not None:
-        if args.format == "json":
-            _emit(_to_json(factor.to_dict()), args.output)
-        elif args.format == "dot":
-            _emit(_factor_dot(factor), args.output)
-        else:
-            _emit(_factor_text(factor), args.output)
-        return EXIT_OK
-
-    fz = build_modular_factorization(n)
+        record = build_modular_factorization(n)
+    factors = record.factors if isinstance(record, Factorization) else (record,)
     if args.format == "json":
-        _emit(_to_json(fz.to_dict()), args.output)
+        text = _to_json(record.to_dict())
     elif args.format == "dot":
-        _emit(_factorization_dot(fz), args.output)
+        text = "".join(map(_factor_dot, factors))
     else:
-        _emit("".join(_factor_text(f) for f in fz.factors), args.output)
+        text = "".join(map(_factor_text, factors))
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -194,16 +173,13 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 def cmd_equiv(args: argparse.Namespace) -> int:
     report = build_equivalence_report(args.s, args.t)
-    if args.format == "json":
-        _emit(_to_json(report.to_dict()), args.output)
-    else:
-        _emit(
-            f"K_{report.n} as K_{report.s} x K_{report.t}: "
-            f"factors equal: {report.all_edge_sets_equal}; "
-            f"bounds {report.direct_bound} vs {report.product_bound}: "
-            f"equal: {report.bounds_equal}\n",
-            args.output,
-        )
+    text = (
+        f"K_{report.n} as K_{report.s} x K_{report.t}: "
+        f"factors equal: {report.all_edge_sets_equal}; "
+        f"bounds {report.direct_bound} vs {report.product_bound}: "
+        f"equal: {report.bounds_equal}\n"
+    )
+    _emit(_to_json(report.to_dict()) if args.format == "json" else text, args.output)
     if report.all_edge_sets_equal and report.bounds_equal:
         return EXIT_OK
     return EXIT_VALIDATION
@@ -211,15 +187,12 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     summary = oracle_summary(args.n, expensive=args.expensive)
-    if args.format == "json":
-        _emit(_to_json(summary.to_dict()), args.output)
-    else:
-        _emit(
-            f"K_{summary.n}: exact_c = {summary.exact_c}, "
-            f"lower bound n*phi(n)/2 = {summary.lower_bound}, "
-            f"factorizations seen = {summary.factorizations_seen}\n",
-            args.output,
-        )
+    text = (
+        f"K_{summary.n}: exact_c = {summary.exact_c}, "
+        f"lower bound n*phi(n)/2 = {summary.lower_bound}, "
+        f"factorizations seen = {summary.factorizations_seen}\n"
+    )
+    _emit(_to_json(summary.to_dict()) if args.format == "json" else text, args.output)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import operator
 
 from ._record import Record
 from .factors import build_modular_factor
-from .numtheory import gcd, totient
+from .numtheory import _check_coprime, totient
 from .product import _check_orders, build_product_factor, product_bound
 
 
@@ -66,17 +66,6 @@ class EquivalenceReport(Record):
             "bounds_equal": self.bounds_equal,
             "failures": list(self.failures),
         }
-
-
-def _check_coprime(s: int, t: int) -> tuple[int, int]:
-    s = operator.index(s)
-    t = operator.index(t)
-    if s < 1 or t < 1:
-        raise ValueError(f"moduli must be >= 1, got ({s}, {t})")
-    g = gcd(s, t)
-    if g != 1:
-        raise ValueError(f"moduli not coprime: gcd({s}, {t}) = {g}")
-    return s, t
 
 
 def crt_vertex_map(v: int, s: int, t: int) -> tuple[int, int]:

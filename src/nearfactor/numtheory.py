@@ -77,19 +77,24 @@ def half_mod(k: int, n: int) -> Residue:
     return Residue(operator.index(k) * inv2 % n, n)
 
 
+def _check_coprime(s: int, t: int) -> tuple[int, int]:
+    s = operator.index(s)
+    t = operator.index(t)
+    if s < 1 or t < 1:
+        raise ValueError(f"moduli must be >= 1, got ({s}, {t})")
+    g = gcd(s, t)
+    if g != 1:
+        raise ValueError(f"moduli not coprime: gcd({s}, {t}) = {g}")
+    return s, t
+
+
 def crt_combine(k: int, l: int, s: int, t: int) -> Residue:
     """The unique p in [0, s*t) with p % s == k % s and p % t == l % t.
 
     The moduli s and t must be coprime; otherwise ValueError
     ("moduli not coprime") is raised.
     """
-    s = operator.index(s)
-    t = operator.index(t)
-    if s < 1 or t < 1:
-        raise ValueError(f"moduli must be >= 1, got ({s}, {t})")
-    g = math.gcd(s, t)
-    if g != 1:
-        raise ValueError(f"moduli not coprime: gcd({s}, {t}) = {g}")
+    s, t = _check_coprime(s, t)
     k = operator.index(k) % s
     l = operator.index(l) % t
     p = (k * t * pow(t, -1, s) + l * s * pow(s, -1, t)) % (s * t)

@@ -11,7 +11,7 @@ the union of the two perfect matchings is a single Hamiltonian cycle.
 from __future__ import annotations
 
 import operator
-from itertools import combinations
+from itertools import combinations, cycle
 
 from ._record import Record
 from .factors import Factor, Factorization
@@ -110,15 +110,13 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
         raise ValueError("factors must be distinct")
     if f.isolated is None or g.isolated is None:
         raise ValueError("both factors need an isolated vertex (odd order)")
-    steps = (g.partners, f.partners)
     start = f.isolated
     vertices = [start]
     edges: list[tuple[int, int]] = []
     seen = {start}
     current = start
-    i = 1
-    while True:
-        nxt = steps[(i - 1) % 2][current]
+    for step in cycle((g.partners, f.partners)):
+        nxt = step[current]
         if nxt is None:
             terminal = TERMINAL_REACHED if len(vertices) == n else TERMINAL_EARLY
             break
@@ -134,7 +132,6 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
         vertices.append(nxt)
         seen.add(nxt)
         current = nxt
-        i += 1
     return UnionWalk(start, tuple(vertices), tuple(edges), terminal)
 
 
@@ -212,10 +209,9 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
         walk = union_walk(f, g)
         perfect = len(walk.vertices) == n
         gcd_perfect = None
-        if f.index is not None and g.index is not None:
-            ki, li = f.modular_index, g.modular_index
-            if ki is not None and li is not None and ki != li:
-                gcd_perfect = is_perfect_by_gcd(ki, li, n)
+        ki, li = f.modular_index, g.modular_index
+        if ki is not None and li is not None and ki != li:
+            gcd_perfect = is_perfect_by_gcd(ki, li, n)
         return PairClassification(
             n=n, perfect=perfect, witness=walk, gcd_perfect=gcd_perfect
         )

@@ -5,15 +5,21 @@ The product factor indexed by (k, l) joins (i, j) with ((k - i) % s,
 whose first coordinates sum to k mod s and second coordinates sum to l
 mod t.  Exactly one vertex is its own partner and stays isolated, so each
 factor is a near-one-factor of the complete graph on the s*t pair vertices.
+product_factorization builds the product of any two odd-order factorizations
+from their partner arrays; for two modular families it gives these factors.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import combinations
 
 from ._record import Record
-from .factors import Factor, Factorization
+from .factors import (
+    Factor,
+    Factorization,
+    build_modular_factorization,
+    factorization_problems,
+)
 from .numtheory import gcd, half_mod
 from .pairing import count_perfect_pairs
 
@@ -81,6 +87,11 @@ def _check_orders(s: int, t: int) -> tuple[int, int]:
     return s, t
 
 
+def _partner_product(fh: list[int], gh: list[int], t: int) -> list[int]:
+    """Partner array of F x G on the vertices i*t + j; isolated vertices map to self."""
+    return [x * t + y for x in fh for y in gh]
+
+
 def build_product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
     """Product factor (k, l) on the s*t pair vertices; O(s*t) construction.
 
@@ -95,15 +106,39 @@ def build_product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
     if not 0 <= l < t:
         raise ValueError(f"second index {l} not in [0, {t})")
     iso = (half_mod(k, s).value, half_mod(l, t).value)
-    edges = []
-    for i in range(s):
-        ip = (k - i) % s
-        for j in range(t):
-            a = (i, j)
-            b = (ip, (l - j) % t)
-            if a < b:
-                edges.append((a, b))
-    return ProductFactor(s=s, t=t, k=k, l=l, edges=tuple(edges), isolated=iso)
+    fh = [(k - i) % s for i in range(s)]
+    partner = _partner_product(fh, [(l - j) % t for j in range(t)], t)
+    edges = tuple((divmod(x, t), divmod(y, t)) for x, y in enumerate(partner) if x < y)
+    return ProductFactor(s=s, t=t, k=k, l=l, edges=edges, isolated=iso)
+
+
+def product_factorization(a: Factorization, b: Factorization) -> Factorization:
+    """The product of valid odd-order factorizations A of K_s and B of K_t.
+
+    Factor (F, G) joins (i, j) with (F(i), G(j)), where F(i) = i at F's
+    isolated vertex, on the vertices i * t + j of K_{s*t}; factors come A
+    outer, B inner.  An invalid input raises ValueError naming its first problem.
+    """
+    for name, fz in (("A", a), ("B", b)):
+        problems = [f"even order {fz.n}"] if fz.n % 2 == 0 else factorization_problems(fz)
+        if problems:
+            raise ValueError(f"factorization {name}: {problems[0]}")
+    # The partner arrays F-hat and G-hat: each isolated vertex maps to itself.
+    hats = [
+        [[v if w is None else w for v, w in enumerate(f.partners)] for f in fz.factors]
+        for fz in (a, b)
+    ]
+    t = b.n
+    factors = []
+    for f, fh in zip(a.factors, hats[0]):
+        for g, gh in zip(b.factors, hats[1]):
+            partner: list[int | None] = _partner_product(fh, gh, t)
+            # Flattening is monotone in (i, j), so these edges are already sorted.
+            edges = tuple((x, y) for x, y in enumerate(partner) if x < y)
+            iso = f.isolated * t + g.isolated
+            partner[iso] = None
+            factors.append(Factor._prebuilt(a.n * t, edges, iso, tuple(partner)))
+    return Factorization(n=a.n * t, factors=tuple(factors))
 
 
 def flatten_product_factor(pf: ProductFactor) -> Factor:
@@ -138,30 +173,31 @@ def product_bound(s: int, t: int, c_s: int, c_t: int) -> int:
 
 
 def predicted_perfect_product_pairs(s: int, t: int) -> int:
-    """Unordered product-factor pairs passing the two-gcd criterion."""
+    """Unordered product-factor pairs passing the two-gcd criterion.
+
+    The criterion depends only on the index difference (dk, dl), and each of
+    the s*t - 1 nonzero differences is shared by s*t ordered pairs.
+    """
     s, t = _check_orders(s, t)
-    indices = [(k, l) for k in range(s) for l in range(t)]
-    return sum(
-        1 for a, b in combinations(indices, 2) if is_perfect_product_pair(s, t, a, b)
-    )
+    differences = (divmod(d, t) for d in range(1, s * t))
+    passing = sum(is_perfect_product_pair(s, t, dkl, (0, 0)) for dkl in differences)
+    return s * t * passing // 2
 
 
 def count_perfect_product_pairs(s: int, t: int) -> int:
     """Unordered perfect pairs in the full product family, by traversal.
 
-    Every product factor is flattened to K_{s*t} and pairs are classified by
-    the alternating walk.  For coprime s and t the two-gcd criterion decides
-    exactly the same pairs, and a mismatch raises RuntimeError.  For
-    non-coprime s and t the criterion is NOT equivalent to the walk (the walk
-    covers only lcm-many vertices and never all s*t of them), so no
-    cross-check is applied there; compare with
+    The product of the two modular families (product_factorization) is
+    counted by the alternating walk.  For coprime s and t the two-gcd
+    criterion decides exactly the same pairs, and a mismatch raises
+    RuntimeError.  For non-coprime s and t the criterion is NOT equivalent
+    to the walk (the walk covers only lcm-many vertices and never all s*t of
+    them), so no cross-check is applied there; compare with
     predicted_perfect_product_pairs to observe the divergence.
     """
     s, t = _check_orders(s, t)
-    flat = tuple(
-        build_product_factor(s, t, k, l).flattened() for k in range(s) for l in range(t)
-    )
-    walked = count_perfect_pairs(Factorization(n=s * t, factors=flat))
+    a, b = build_modular_factorization(s), build_modular_factorization(t)
+    walked = count_perfect_pairs(product_factorization(a, b))
     if gcd(s, t) == 1:
         predicted = predicted_perfect_product_pairs(s, t)
         if walked != predicted:

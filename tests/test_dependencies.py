@@ -7,7 +7,9 @@ from pathlib import Path
 import nearfactor
 
 # Run without site (-S) so that .pth hooks of unrelated installed packages do
-# not show up; isolated (-I) so the environment cannot add paths either.
+# not show up; isolated (-I) so the environment cannot add paths either.  -I
+# also ignores PYTHONDONTWRITEBYTECODE, so -B keeps the probe from leaving
+# bytecode under src/.
 PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -19,7 +21,7 @@ print("\\n".join(sorted(sys.modules)))
 def _modules_loaded_by_cli() -> list[str]:
     src = str(Path(nearfactor.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", PROBE, src],
+        [sys.executable, "-I", "-S", "-B", "-c", PROBE, src],
         capture_output=True,
         text=True,
         check=True,

@@ -1,9 +1,21 @@
+import json
 from itertools import combinations
+from math import comb
+from pathlib import Path
 
 import pytest
 
-from nearfactor.factors import validate_factor
+from nearfactor import product
+from nearfactor.factors import (
+    Factorization,
+    build_modular_factor_even,
+    build_modular_factorization,
+    factorization_problems,
+    validate_factor,
+)
 from nearfactor.numtheory import half_mod, totient
+from nearfactor.oracle import enumerate_factorizations, independent_hamiltonicity_check
+from nearfactor.pairing import count_perfect_pairs
 from nearfactor.product import (
     build_product_factor,
     count_perfect_product_pairs,
@@ -11,7 +23,10 @@ from nearfactor.product import (
     is_perfect_product_pair,
     predicted_perfect_product_pairs,
     product_bound,
+    product_factorization,
 )
+
+K9_PERFECT = Path(__file__).parent / "data" / "k9_perfect.json"
 
 
 def test_build_product_factor_3x5():
@@ -129,3 +144,119 @@ def test_product_family_partitions_pair_edges():
                     seen.add(e)
         n = s * t
         assert len(seen) == n * (n - 1) // 2
+
+
+# ---------------------------------------------- product_factorization builder
+
+
+def _pair_vertex_loop(s, t, k, l):
+    """Edges and isolated vertex of product factor (k, l), built pair by pair."""
+    edges = []
+    for i in range(s):
+        ip = (k - i) % s
+        for j in range(t):
+            a = (i, j)
+            b = (ip, (l - j) % t)
+            if a < b:
+                edges.append((a, b))
+    return tuple(edges), (half_mod(k, s).value, half_mod(l, t).value)
+
+
+def test_build_product_factor_matches_the_pair_vertex_loop():
+    orders = (3, 5, 7, 9, 15)
+    for s in orders:
+        for t in orders:
+            for k in range(s):
+                for l in range(t):
+                    pf = build_product_factor(s, t, k, l)
+                    assert (pf.edges, pf.isolated) == _pair_vertex_loop(s, t, k, l)
+
+
+@pytest.mark.parametrize("s, t", [(3, 3), (3, 5), (5, 15), (15, 5), (7, 9), (9, 7)])
+def test_product_factorization_of_modular_families(s, t):
+    fz = product_factorization(
+        build_modular_factorization(s), build_modular_factorization(t)
+    )
+    expected = [
+        build_product_factor(s, t, k, l).flattened() for k in range(s) for l in range(t)
+    ]
+    assert fz.n == s * t
+    assert len(fz.factors) == len(expected)
+    for got, want in zip(fz.factors, expected):
+        assert got == want
+        assert got.partners == want.partners
+
+
+def test_product_factorization_rejects_invalid_and_even_input():
+    k3, k5 = build_modular_factorization(3), build_modular_factorization(5)
+    short = Factorization(n=5, factors=k5.factors[:4])
+    with pytest.raises(ValueError, match="factorization B: expected 5 factors"):
+        product_factorization(k3, short)
+    swapped = Factorization(n=5, factors=k5.factors[1::-1] + k5.factors[2:])
+    assert factorization_problems(swapped) == []  # order of factors is free
+    assert len(product_factorization(k3, swapped).factors) == 15
+    even = Factorization(
+        n=4, factors=tuple(build_modular_factor_even(4, k) for k in (1, 3))
+    )
+    with pytest.raises(ValueError, match="factorization A: even order 4"):
+        product_factorization(even, k3)
+
+
+def test_count_cross_check_fires_on_a_wrong_prediction(monkeypatch):
+    real = product.predicted_perfect_product_pairs
+    monkeypatch.setattr(
+        product, "predicted_perfect_product_pairs", lambda s, t: real(s, t) + 1
+    )
+    with pytest.raises(RuntimeError, match="two-gcd criterion predicts 61"):
+        count_perfect_product_pairs(3, 5)
+    assert count_perfect_product_pairs(3, 3) == 0  # no cross-check when not coprime
+
+
+def test_prediction_matches_the_pairwise_criterion():
+    odd = range(3, 14, 2)
+    for s in odd:
+        for t in odd:
+            indices = [(k, l) for k in range(s) for l in range(t)]
+            brute = sum(
+                is_perfect_product_pair(s, t, a, b) for a, b in combinations(indices, 2)
+            )
+            assert predicted_perfect_product_pairs(s, t) == brute, (s, t)
+
+
+# ------------------------------------------- doubling on non-modular inputs
+
+
+def _k9_perfect():
+    return Factorization.from_dict(json.loads(K9_PERFECT.read_text()))
+
+
+def test_k9_witness_is_a_perfect_factorization():
+    fz = _k9_perfect()
+    assert factorization_problems(fz) == []
+    assert count_perfect_pairs(fz) == 36 == comb(9, 2)
+    pairs = list(combinations(fz.factors, 2))
+    assert len(pairs) == 36
+    assert all(independent_hamiltonicity_check(f, g) for f, g in pairs)
+
+
+def test_k9_witness_doubles_with_modular_k5():
+    fz = product_factorization(_k9_perfect(), build_modular_factorization(5))
+    assert factorization_problems(fz) == []
+    assert count_perfect_pairs(fz) == 720 == 2 * 36 * 10
+
+
+def test_every_k5_factorization_doubles_with_modular_k3():
+    k3 = build_modular_factorization(3)
+    seen = 0
+    for a in enumerate_factorizations(5):
+        fz = product_factorization(a, k3)
+        assert factorization_problems(fz) == []
+        assert count_perfect_pairs(fz) == 2 * count_perfect_pairs(a) * 3
+        seen += 1
+    assert seen == 6
+
+
+def test_k9_witness_times_k3_has_no_perfect_pair():
+    fz = product_factorization(_k9_perfect(), build_modular_factorization(3))
+    assert factorization_problems(fz) == []
+    assert count_perfect_pairs(fz) == 0
