@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +213,19 @@ def test_verify_accepts_modular_factorization(tmp_path, capsys):
     assert data["valid"] is True
     assert data["problems"] == []
     assert data["perfect_pairs"] == 10
+
+
+def test_verify_accepts_the_perfect_k9_witness(capsys):
+    path = Path(__file__).parent / "data" / "k9_perfect.json"
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 9,
+        "factor_count": 9,
+        "valid": True,
+        "problems": [],
+        "perfect_pairs": 36,
+    }
 
 
 def test_verify_flags_broken_file(tmp_path, capsys):

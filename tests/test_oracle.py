@@ -244,7 +244,7 @@ def test_perfect_counts_vary_across_k5_factorizations():
 
 
 def test_k9_stream_prefix_and_lower_bound_witness():
-    """Exercise the n = 9 machinery without the full multi-day enumeration.
+    """Exercise the n = 9 machinery without the full (about 19.5 h) enumeration.
 
     A prefix of the stream must be valid and internally consistent, and the
     sum-family factorization of K_9 must witness the 27-pair lower bound
@@ -293,7 +293,8 @@ def test_k9_stream_order_is_pinned():
 def test_exact_c_9_full_enumeration_meets_lower_bound():
     """Complete n = 9 sweep: enumerates all 1,225,566,720 factorizations.
 
-    This is a multi-day pure-Python run; it is excluded from the default
+    This is a pure-Python run of about 19.5 hours (about 17.5k counted
+    factorizations per second); it is excluded from the default
     suite (see addopts) and exists so the full computation has a launchable
     entry point: ``pytest -m expensive``.
     """
