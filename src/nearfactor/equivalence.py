@@ -55,17 +55,10 @@ class EquivalenceReport(Record):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "n": self.n,
-            "index_map": [[p, k, l] for p, k, l in self.index_map],
-            "all_edge_sets_equal": self.all_edge_sets_equal,
-            "direct_bound": self.direct_bound,
-            "product_bound": self.product_bound,
-            "bounds_equal": self.bounds_equal,
-            "failures": list(self.failures),
-        }
+        data = dict(zip(self.__match_args__, self._values))
+        data["index_map"] = [list(row) for row in self.index_map]
+        data["failures"] = list(self.failures)
+        return data
 
 
 def crt_vertex_map(v: int, s: int, t: int) -> tuple[int, int]:
@@ -84,6 +77,19 @@ def map_factor_index(p: int, s: int, t: int) -> tuple[int, int]:
     return (p % s, p % t)
 
 
+def _same_factor(p: int, s: int, t: int) -> bool:
+    """verify_factor_equality for coprime ints s, t and p in [0, s*t)."""
+    direct = build_modular_factor(s * t, p)
+    prod = build_product_factor(s, t, p % s, p % t)
+    mapped = set()
+    for u, v in direct.edges:
+        a = (u % s, u % t)
+        b = (v % s, v % t)
+        mapped.add((a, b) if a < b else (b, a))
+    iso = direct.isolated
+    return mapped == set(prod.edges) and (iso % s, iso % t) == prod.isolated
+
+
 def verify_factor_equality(p: int, s: int, t: int) -> bool:
     """Check that modular factor p of K_{st} equals product factor (p%s, p%t).
 
@@ -91,18 +97,7 @@ def verify_factor_equality(p: int, s: int, t: int) -> bool:
     isolated vertices must correspond.
     """
     s, t = _check_coprime(s, t)
-    n = s * t
-    p = operator.index(p) % n
-    direct = build_modular_factor(n, p)
-    prod = build_product_factor(s, t, p % s, p % t)
-    mapped = set()
-    for u, v in direct.edges:
-        a = (u % s, u % t)
-        b = (v % s, v % t)
-        mapped.add((a, b) if a < b else (b, a))
-    if mapped != set(prod.edges):
-        return False
-    return crt_vertex_map(direct.isolated, s, t) == prod.isolated
+    return _same_factor(operator.index(p) % (s * t), s, t)
 
 
 def build_equivalence_report(s: int, t: int) -> EquivalenceReport:
@@ -113,23 +108,17 @@ def build_equivalence_report(s: int, t: int) -> EquivalenceReport:
     """
     s, t = _check_orders(*_check_coprime(s, t))
     n = s * t
-    index_map = []
-    failures = []
-    for p in range(n):
-        k, l = map_factor_index(p, s, t)
-        index_map.append((p, k, l))
-        if not verify_factor_equality(p, s, t):
-            failures.append(p)
+    failures = tuple(p for p in range(n) if not _same_factor(p, s, t))
     direct_bound = n * totient(n) // 2
     prod_bound = product_bound(s, t, s * totient(s) // 2, t * totient(t) // 2)
     return EquivalenceReport(
         s=s,
         t=t,
         n=n,
-        index_map=tuple(index_map),
+        index_map=tuple((p, p % s, p % t) for p in range(n)),
         all_edge_sets_equal=not failures,
         direct_bound=direct_bound,
         product_bound=prod_bound,
         bounds_equal=direct_bound == prod_bound,
-        failures=tuple(failures),
+        failures=failures,
     )

@@ -23,7 +23,7 @@ from itertools import combinations
 from ._record import Record
 from .factors import Factor, Factorization
 from .numtheory import totient
-from .pairing import classify_pair, count_perfect_pairs
+from .pairing import _Verdicts, classify_pair, count_perfect_pairs
 
 
 class CostGuardError(RuntimeError):
@@ -54,6 +54,9 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     built, so counting never rebuilds it.  Within one call, equal factors
     are one shared (immutable) object: each distinct factor is built once,
     when it first completes, and the memo is dropped with the generator.
+    A factor's slot is its creation index in that memo; every factorization
+    carries the slots of its factors and the run's pair-verdict table, with
+    which count_perfect_pairs walks each distinct pair once per run.
     """
     n = _check_enumerable(n)
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -64,20 +67,24 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     used = [1 << v for v in range(n)]
     # held[c] = bitmask of the edge positions assigned to factor c.  At a
     # leaf the mask alone determines the factor (c is the one vertex its
-    # edges miss), so it is the key of `built`, this run's memo of factors.
+    # edges miss), so it is the key of `built`, which gives the factor's
+    # slot in `made`, this run's memo of factors.
     held = [0] * n
     assigned = [0] * m
     avail = [0] * m
-    built: dict[int, Factor] = {}
+    built: dict[int, int] = {}
+    made: list[Factor] = []
+    verdicts = _Verdicts()
 
-    def build(c: int, mask: int) -> Factor:
+    def build(c: int, mask: int) -> int:
         edges = [e for pos, e in enumerate(edge_list) if mask >> pos & 1]
         partners: list[int | None] = [None] * n
         for u, v in edges:
             partners[u] = v
             partners[v] = u
-        built[mask] = f = Factor._prebuilt(n, tuple(edges), c, tuple(partners))
-        return f
+        made.append(Factor._prebuilt(n, tuple(edges), c, tuple(partners)))
+        built[mask] = slot = verdicts.add()
+        return slot
 
     # Explicit-stack backtracking: avail[pos] holds the factors still to try
     # at edge pos and assigned[pos] the current one.  Every assignment is
@@ -102,12 +109,18 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
                 continue
             # Sorted by edge list = sorted by first edge: the factors holding
             # (0, 1), ..., (0, n-1), then factor 0, which isolates vertex 0.
+            slots = []
             factors = []
             for k in assigned[: n - 1] + [0]:
                 mask = held[k]
-                f = built.get(mask)
-                factors.append(build(k, mask) if f is None else f)
-            yield Factorization(n=n, factors=tuple(factors))
+                slot = built.get(mask)
+                if slot is None:
+                    slot = build(k, mask)
+                slots.append(slot)
+                factors.append(made[slot])
+            fz = Factorization(n=n, factors=factors)
+            vars(fz)["_run"] = (tuple(slots), verdicts)
+            yield fz
         else:
             pos -= 1
             if pos < 0:

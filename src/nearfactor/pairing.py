@@ -290,6 +290,45 @@ def _walk_inputs(
     return inputs
 
 
+class _Verdicts:
+    """Pair verdicts of one oracle run, by the run-local slot of a factor.
+
+    `known[a]` is (walked, perfect): bit b of `walked` is set once the pair
+    of slots (a, b) has been walked from a's isolated vertex, and of
+    `perfect` if it was perfect.  A slot's pair is replaced whole, so two
+    threads counting at once can lose what one of them learnt, never mix it.
+    """
+
+    __slots__ = ("known",)
+
+    def __init__(self) -> None:
+        self.known: list[tuple[int, int]] = []
+
+    def add(self) -> int:
+        """A new slot, none of whose pairs is walked yet."""
+        self.known.append((0, 0))
+        return len(self.known) - 1
+
+    def count(self, inputs: list, slots: tuple[int, ...], n: int) -> int:
+        """count_perfect_pairs of factors with these `_walk_inputs` and slots."""
+        known = self.known
+        count = later = 0  # later: the slots of the factors after factor i
+        for i in range(len(slots) - 1, -1, -1):
+            a = slots[i]
+            walked, perfect = known[a]
+            fresh = later & ~walked
+            if fresh:
+                pf, start = inputs[i]
+                for j in range(i + 1, len(slots)):
+                    b = 1 << slots[j]
+                    if fresh & b and _reached(pf, inputs[j][0], start) == n:
+                        perfect |= b
+                known[a] = (walked | fresh, perfect)
+            count += (perfect & later).bit_count()
+            later |= 1 << a
+        return count
+
+
 def count_perfect_pairs(fz: Factorization) -> int:
     """Number of unordered perfect pairs among the factors, by traversal.
 
@@ -298,12 +337,16 @@ def count_perfect_pairs(fz: Factorization) -> int:
     `_is_perfect` makes on each pair are made once for the whole
     factorization; when one fails, every pair goes through `_is_perfect`,
     so the error raised is the one of the first failing pair in
-    `combinations` order.
+    `combinations` order.  A factorization from enumerate_factorizations
+    walks only the pairs its run has not walked yet.
     """
     inputs = _walk_inputs(fz)
     if inputs is None:
         return sum(1 for f, g in combinations(fz.factors, 2) if _is_perfect(f, g))
     n = fz.factors[0].n
+    run = vars(fz).get("_run")  # (slots, _Verdicts), set by the oracle
+    if run is not None:
+        return run[1].count(inputs, run[0], n)
     count = 0
     for (pf, start), (pg, _) in combinations(inputs, 2):
         if _reached(pf, pg, start) == n:

@@ -4,13 +4,16 @@ Every expected value here is an exact integer; there are no tolerances.
 Run with ``pytest tests/test_acceptance.py -v``.
 """
 
+import json
 import time
 from contextlib import contextmanager
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 from nearfactor.equivalence import build_equivalence_report, crt_vertex_map
 from nearfactor.factors import (
+    Factorization,
     build_modular_factor_even,
     build_modular_factorization,
     factorization_problems,
@@ -34,7 +37,10 @@ from nearfactor.product import (
     count_perfect_product_pairs,
     is_perfect_product_pair,
     product_bound,
+    product_factorization,
 )
+
+K9_PERFECT = Path(__file__).parent / "data" / "k9_perfect.json"
 
 
 @contextmanager
@@ -206,3 +212,23 @@ def test_criterion_9_even_order_construction(capsys):
         # no count is asserted for even orders; one known perfect pair:
         k4 = [build_modular_factor_even(4, k) for k in range(4)]
         assert classify_pair(k4[0], k4[1]).perfect
+
+
+def test_criterion_10_doubling_on_non_modular_inputs(capsys):
+    with criterion(capsys, 10, "coprime products of any factorizations double"):
+        witness = Factorization.from_dict(json.loads(K9_PERFECT.read_text()))
+        assert count_perfect_pairs(witness) == 36
+        for t, c_b, expected in ((5, 10, 720), (7, 21, 1512)):
+            b = build_modular_factorization(t)
+            assert count_perfect_pairs(b) == c_b
+            fz = product_factorization(witness, b)
+            assert factorization_problems(fz) == []
+            assert count_perfect_pairs(fz) == expected == 2 * 36 * c_b
+        k3 = build_modular_factorization(3)
+        seen = 0
+        for a in enumerate_factorizations(5):
+            fz = product_factorization(a, k3)
+            assert factorization_problems(fz) == []
+            assert count_perfect_pairs(fz) == 2 * count_perfect_pairs(a) * 3
+            seen += 1
+        assert seen == 6

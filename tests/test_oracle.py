@@ -1,6 +1,10 @@
+import copy
 import hashlib
 import io
 import json
+import pickle
+import sys
+import threading
 from functools import cached_property
 from itertools import chain, combinations, islice
 
@@ -23,7 +27,8 @@ from nearfactor.oracle import (
     oracle_summary,
     write_factorizations_ndjson,
 )
-from nearfactor.pairing import count_perfect_pairs
+import nearfactor.pairing as pairing
+from nearfactor.pairing import _is_perfect, count_perfect_pairs
 
 
 def _canonical(fz):
@@ -229,6 +234,145 @@ def test_oracle_builds_factors_without_canonicalising_or_rebuilding(monkeypatch)
     assert summary.factorizations_seen == 6240
 
 
+def _per_pair(fz):
+    return sum(_is_perfect(f, g) for f, g in combinations(fz.factors, 2))
+
+
+def _run(fz):
+    """The (slots, verdict table) attachment the oracle gives a factorization."""
+    return vars(fz)["_run"]
+
+
+def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
+    """A whole n = 7 stream walks its 3150 distinct pairs once, not 131,040.
+
+    Each count still equals the per-pair sum.  The n = 5 stream counted
+    first is another run, whose verdicts the n = 7 run must not see.
+    """
+    walks = []
+    reached = pairing._reached
+
+    def counted(*args):
+        walks.append(args)
+        return reached(*args)
+
+    for n, distinct in ((5, 60), (7, 3150)):
+        expected = []
+        counts = []
+        for fz in enumerate_factorizations(n):
+            expected.append(_per_pair(fz))
+            with monkeypatch.context() as m:
+                m.setattr(pairing, "_reached", counted)
+                counts.append(count_perfect_pairs(fz))
+        assert counts == expected
+        assert len(walks) == distinct
+        walks.clear()
+    assert max(counts) == 21 and len(counts) == 6240
+
+
+def test_oracle_counts_match_per_pair_sum_on_n9_prefix():
+    for fz in islice(enumerate_factorizations(9), 3000):
+        assert count_perfect_pairs(fz) == _per_pair(fz)
+
+
+def test_oracle_verdict_table_holds_each_pair_verdict():
+    """After a whole n = 7 run, every walked pair is recorded by its slots.
+
+    Slots are 0..104, one per distinct factor.  Bit b of a slot a's walked
+    mask marks a pair walked from a to a later slot b of some
+    factorization, never a slot with itself, and its bit in the perfect
+    mask is that pair's verdict.
+    """
+    factor_of = {}
+    pairs = set()
+    for fz in enumerate_factorizations(7):
+        slots, table = _run(fz)
+        assert len(slots) == len(fz.factors)
+        for a, f in zip(slots, fz.factors):
+            assert factor_of.setdefault(a, f) is f
+        pairs.update(combinations(slots, 2))
+        count_perfect_pairs(fz)
+    assert sorted(factor_of) == list(range(105))
+    assert len(set(map(id, factor_of.values()))) == 105
+    assert len(table.known) == 105
+    assert len(pairs) == sum(w.bit_count() for w, _ in table.known) == 3150
+    for a, b in pairs:
+        walked, perfect = table.known[a]
+        assert walked >> b & 1
+        assert perfect >> b & 1 == _is_perfect(factor_of[a], factor_of[b])
+    for a, (walked, perfect) in enumerate(table.known):
+        assert not walked >> a & 1
+        assert perfect & ~walked == 0
+
+
+def test_threads_counting_one_run_agree_with_the_per_pair_sum():
+    """Four threads count the same cold n = 7 run at once, switching often."""
+    stream = list(enumerate_factorizations(7))
+    expected = [_per_pair(fz) for fz in stream]
+    counts = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def work(out):
+        start.wait()
+        out.extend(count_perfect_pairs(fz) for fz in stream)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in counts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert counts == [expected] * 4
+
+
+def test_oracle_runs_share_no_verdict_table():
+    first = {id(_run(fz)[1]) for fz in enumerate_factorizations(7)}
+    second = {id(_run(fz)[1]) for fz in enumerate_factorizations(7)}
+    assert len(first) == len(second) == 1
+    assert first != second
+    prefix = list(islice(enumerate_factorizations(9), 3000))
+    slots = {a for fz in prefix for a in _run(fz)[0]}
+    assert slots == set(range(len(slots)))
+    assert len(slots) <= 9 * 7 * 5 * 3
+
+
+def test_copies_of_oracle_factorizations_count_the_same():
+    """Rebuilt, copied and pickled factorizations count like the original.
+
+    Copies are taken before the original is counted, while its run's table
+    is still cold, and after.  The attachment takes no part in ==, hash,
+    repr or to_dict.
+    """
+    stream = chain(
+        islice(enumerate_factorizations(7), 0, None, 97),
+        islice(enumerate_factorizations(9), 0, 3000, 151),
+    )
+    for fz in stream:
+        rebuilt = Factorization(fz.n, fz.factors)
+        assert "_run" not in vars(rebuilt)
+        assert fz == rebuilt and hash(fz) == hash(rebuilt)
+        assert repr(fz) == repr(rebuilt)
+        assert fz.to_dict() == rebuilt.to_dict()
+        variants = [
+            rebuilt,
+            Factorization.from_dict(fz.to_dict()),
+            copy.copy(fz),
+            copy.deepcopy(fz),
+            pickle.loads(pickle.dumps(fz)),
+        ]
+        cold = [count_perfect_pairs(v) for v in variants]
+        expected = count_perfect_pairs(fz)
+        warm = [count_perfect_pairs(copy.deepcopy(fz)), count_perfect_pairs(fz)]
+        assert cold == [expected] * 5
+        assert warm == [expected] * 2
+        assert expected == _per_pair(fz)
+
+
 def test_perfect_counts_vary_across_k5_factorizations():
     counts = sorted(
         sum(
@@ -244,7 +388,7 @@ def test_perfect_counts_vary_across_k5_factorizations():
 
 
 def test_k9_stream_prefix_and_lower_bound_witness():
-    """Exercise the n = 9 machinery without the full (about 19.5 h) enumeration.
+    """Exercise the n = 9 machinery without the full (about 17 h) enumeration.
 
     A prefix of the stream must be valid and internally consistent, and the
     sum-family factorization of K_9 must witness the 27-pair lower bound
@@ -293,7 +437,7 @@ def test_k9_stream_order_is_pinned():
 def test_exact_c_9_full_enumeration_meets_lower_bound():
     """Complete n = 9 sweep: enumerates all 1,225,566,720 factorizations.
 
-    This is a pure-Python run of about 19.5 hours (about 17.5k counted
+    This is a pure-Python run of about 17 hours (about 20k counted
     factorizations per second); it is excluded from the default
     suite (see addopts) and exists so the full computation has a launchable
     entry point: ``pytest -m expensive``.
