@@ -11,6 +11,7 @@ from itertools import chain, combinations, islice
 import pytest
 
 import nearfactor.factors
+import nearfactor.pairing as pairing
 from nearfactor.factors import (
     Factor,
     Factorization,
@@ -27,7 +28,6 @@ from nearfactor.oracle import (
     oracle_summary,
     write_factorizations_ndjson,
 )
-import nearfactor.pairing as pairing
 from nearfactor.pairing import _is_perfect, count_perfect_pairs
 
 
@@ -388,7 +388,7 @@ def test_perfect_counts_vary_across_k5_factorizations():
 
 
 def test_k9_stream_prefix_and_lower_bound_witness():
-    """Exercise the n = 9 machinery without the full (about 17 h) enumeration.
+    """Exercise the n = 9 machinery without the full (about 16 h) enumeration.
 
     A prefix of the stream must be valid and internally consistent, and the
     sum-family factorization of K_9 must witness the 27-pair lower bound
@@ -437,7 +437,7 @@ def test_k9_stream_order_is_pinned():
 def test_exact_c_9_full_enumeration_meets_lower_bound():
     """Complete n = 9 sweep: enumerates all 1,225,566,720 factorizations.
 
-    This is a pure-Python run of about 17 hours (about 20k counted
+    This is a pure-Python run of about 16 hours (about 21k counted
     factorizations per second); it is excluded from the default
     suite (see addopts) and exists so the full computation has a launchable
     entry point: ``pytest -m expensive``.
