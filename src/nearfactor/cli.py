@@ -31,7 +31,12 @@ from .factors import (
 )
 from .numtheory import totient
 from .oracle import CostGuardError, oracle_summary
-from .pairing import _is_perfect, classify_pair, count_perfect_pairs, is_perfect_by_gcd
+from .pairing import (
+    _pair_verdicts,
+    classify_pair,
+    count_perfect_pairs,
+    is_perfect_by_gcd,
+)
 from .equivalence import build_equivalence_report
 
 EXIT_OK = 0
@@ -47,8 +52,11 @@ def _to_json(payload: dict) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -142,8 +150,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     count = 0
     agree = True
     verdicts = [[0] * n for _ in range(n)] if args.matrix else None
-    for f, g in combinations(fz.factors, 2):
-        perfect = _is_perfect(f, g)
+    for (f, g), perfect in zip(combinations(fz.factors, 2), _pair_verdicts(fz)):
         if perfect:
             count += 1
             if verdicts is not None:

@@ -53,10 +53,11 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     are left unset.  Each factor arrives with its partner array already
     built, so counting never rebuilds it.  Within one call, equal factors
     are one shared (immutable) object: each distinct factor is built once,
-    when it first completes, and the memo is dropped with the generator.
-    A factor's slot is its creation index in that memo; every factorization
-    carries the slots of its factors and the run's pair-verdict table, with
-    which count_perfect_pairs walks each distinct pair once per run.
+    when it first completes, into the run's table, which no other call
+    shares.  The table holds each factor under its slot (its creation
+    index) with its walk inputs and pair verdicts; every factorization
+    carries the slots of its factors and the table, with which
+    count_perfect_pairs walks each distinct pair once per run.
     """
     n = _check_enumerable(n)
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -68,13 +69,12 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     # held[c] = bitmask of the edge positions assigned to factor c.  At a
     # leaf the mask alone determines the factor (c is the one vertex its
     # edges miss), so it is the key of `built`, which gives the factor's
-    # slot in `made`, this run's memo of factors.
+    # slot in `run`, this run's memo of factors and their pair verdicts.
     held = [0] * n
     assigned = [0] * m
     avail = [0] * m
     built: dict[int, int] = {}
-    made: list[Factor] = []
-    verdicts = _Verdicts()
+    run = _Verdicts()
 
     def build(c: int, mask: int) -> int:
         edges = [e for pos, e in enumerate(edge_list) if mask >> pos & 1]
@@ -82,8 +82,9 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         for u, v in edges:
             partners[u] = v
             partners[v] = u
-        made.append(Factor._prebuilt(n, tuple(edges), c, tuple(partners)))
-        built[mask] = slot = verdicts.add()
+        built[mask] = slot = run.add(
+            Factor._prebuilt(n, tuple(edges), c, tuple(partners))
+        )
         return slot
 
     # Explicit-stack backtracking: avail[pos] holds the factors still to try
@@ -110,16 +111,13 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
             # Sorted by edge list = sorted by first edge: the factors holding
             # (0, 1), ..., (0, n-1), then factor 0, which isolates vertex 0.
             slots = []
-            factors = []
             for k in assigned[: n - 1] + [0]:
-                mask = held[k]
-                slot = built.get(mask)
+                slot = built.get(held[k])
                 if slot is None:
-                    slot = build(k, mask)
+                    slot = build(k, held[k])
                 slots.append(slot)
-                factors.append(made[slot])
-            fz = Factorization(n=n, factors=factors)
-            vars(fz)["_run"] = (tuple(slots), verdicts)
+            fz = Factorization(n=n, factors=[run.factors[a] for a in slots])
+            vars(fz)["_run"] = (tuple(slots), run)
             yield fz
         else:
             pos -= 1

@@ -11,7 +11,8 @@ the union of the two perfect matchings is a single Hamiltonian cycle.
 from __future__ import annotations
 
 import operator
-from itertools import combinations, cycle
+from collections.abc import Iterator
+from itertools import combinations, cycle, starmap
 
 from ._record import Record
 from .factors import Factor, Factorization
@@ -175,27 +176,6 @@ def is_perfect_by_gcd(k: int, l: int, n: int) -> bool:
     return gcd((k - l) % n, n) == 1
 
 
-def _union_cycle(f: Factor, g: Factor) -> tuple[int, ...]:
-    """Vertices of the union cycle through vertex 0 (even order).
-
-    The union of two distinct perfect matchings is 2-regular (as a
-    multigraph), so the component of vertex 0 is a cycle; it is traced by
-    alternating an edge of f with an edge of g.
-    """
-    pf = f.partners
-    pg = g.partners
-    if None in pf or None in pg:
-        raise ValueError("even-order classification requires perfect matchings")
-    cycle = [0]
-    v = pf[0]
-    use_g = True
-    while v != 0:
-        cycle.append(v)
-        v = pg[v] if use_g else pf[v]
-        use_g = not use_g
-    return tuple(cycle)
-
-
 def classify_pair(f: Factor, g: Factor) -> PairClassification:
     """Classify a pair of factors of the same K_n; traversal is authoritative.
 
@@ -215,18 +195,35 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
         return PairClassification(
             n=n, perfect=perfect, witness=walk, gcd_perfect=gcd_perfect
         )
-    cycle = _union_cycle(f, g)
-    return PairClassification(n=n, perfect=len(cycle) == n, cycle=cycle)
+    # The union of two distinct perfect matchings is 2-regular (as a
+    # multigraph), so the component of vertex 0 is a cycle; it is traced by
+    # alternating an edge of f with an edge of g.
+    pf = f.partners
+    pg = g.partners
+    if None in pf or None in pg:
+        raise ValueError("even-order classification requires perfect matchings")
+    cycle = [0]
+    v = pf[0]
+    use_g = True
+    while v != 0:
+        cycle.append(v)
+        v = pg[v] if use_g else pf[v]
+        use_g = not use_g
+    return PairClassification(n=n, perfect=len(cycle) == n, cycle=tuple(cycle))
 
 
 def _reached(
-    pf: tuple[int | None, ...], pg: tuple[int | None, ...], start: int
-) -> int:
-    """Vertices reached from f's isolated vertex `start`, by g-edge then f-edge.
+    f: tuple[tuple[int | None, ...], int], g: tuple[tuple[int | None, ...], int]
+) -> bool:
+    """Whether the walk from f's isolated vertex reaches every vertex.
 
-    Both partner arrays are involutions, so the first vertex the walk could
+    The walk takes a g-edge, then an f-edge, and so on.  f and g are
+    (partner array, isolated vertex), as `_walk_inputs` gives them.  Both
+    partner arrays are involutions, so the first vertex the walk could
     revisit is its start: checking `v == start` replaces a `seen` set.
     """
+    pf, start = f
+    pg = g[0]
     reached = 1
     v = pg[start]
     while v is not None:
@@ -240,29 +237,7 @@ def _reached(
         if v == start:
             break
         v = pg[v]
-    return reached
-
-
-def _is_perfect(f: Factor, g: Factor) -> bool:
-    """`classify_pair(f, g).perfect`, errors included, without a witness.
-
-    Odd order walks the cached partner arrays exactly as union_walk does but
-    only counts the vertices reached.  An isolated label outside 0..n-1 is
-    left to union_walk, which indexes (or fails) with it as is.
-    """
-    n = _check_same_order(f, g)
-    if f.edges == g.edges:
-        raise ValueError("factors must be distinct")
-    if n % 2 == 0:
-        return len(_union_cycle(f, g)) == n
-    start = f.isolated
-    if start is None or g.isolated is None:
-        raise ValueError("both factors need an isolated vertex (odd order)")
-    pg = g.partners
-    pf = f.partners
-    if not 0 <= start < n:
-        return len(union_walk(f, g).vertices) == n
-    return _reached(pf, pg, start) == n
+    return reached == len(pf)
 
 
 def _walk_inputs(
@@ -270,9 +245,9 @@ def _walk_inputs(
 ) -> list[tuple[tuple[int | None, ...], int]] | None:
     """(partner array, isolated vertex) of every factor, when all pairs walk.
 
-    None unless `_is_perfect` would walk every pair: one odd order, every
-    isolated vertex set and in range, pairwise distinct edge lists and
-    partner arrays that build.
+    None unless `_reached` decides every pair as classify_pair would: one
+    odd order, every isolated vertex set and in range, pairwise distinct
+    edge lists and partner arrays that build.
     """
     factors = fz.factors
     n = factors[0].n if factors else 0
@@ -290,39 +265,61 @@ def _walk_inputs(
     return inputs
 
 
-class _Verdicts:
-    """Pair verdicts of one oracle run, by the run-local slot of a factor.
+def _pair_verdicts(fz: Factorization) -> Iterator[bool]:
+    """Whether each pair of factors is perfect, in `combinations` order.
 
+    The witness-free walk when `_walk_inputs` holds; otherwise every pair
+    goes through classify_pair, so the error raised is the one of the first
+    failing pair.
+    """
+    inputs = _walk_inputs(fz)
+    if inputs is None:
+        return (classify_pair(f, g).perfect for f, g in combinations(fz.factors, 2))
+    return starmap(_reached, combinations(inputs, 2))
+
+
+class _Verdicts:
+    """The factors of one oracle run and their pair verdicts, by slot.
+
+    A slot is the run-local creation index of a distinct factor: `factors`
+    holds the factor and `inputs` its (partner array, isolated vertex).
     `known[a]` is (walked, perfect): bit b of `walked` is set once the pair
     of slots (a, b) has been walked from a's isolated vertex, and of
     `perfect` if it was perfect.  A slot's pair is replaced whole, so two
     threads counting at once can lose what one of them learnt, never mix it.
+    The oracle builds the factors as distinct near-one-factors of one odd
+    order, so their pairs need none of the checks of `_walk_inputs`.
     """
 
-    __slots__ = ("known",)
+    __slots__ = ("factors", "inputs", "known")
 
     def __init__(self) -> None:
+        self.factors: list[Factor] = []
+        self.inputs: list[tuple[tuple[int | None, ...], int]] = []
         self.known: list[tuple[int, int]] = []
 
-    def add(self) -> int:
-        """A new slot, none of whose pairs is walked yet."""
+    def add(self, factor: Factor) -> int:
+        """The slot of a new factor, none of whose pairs is walked yet."""
+        self.factors.append(factor)
+        self.inputs.append((factor.partners, factor.isolated))
         self.known.append((0, 0))
         return len(self.known) - 1
 
-    def count(self, inputs: list, slots: tuple[int, ...], n: int) -> int:
-        """count_perfect_pairs of factors with these `_walk_inputs` and slots."""
+    def count(self, slots: tuple[int, ...]) -> int:
+        """count_perfect_pairs of the factors in these slots, in this order."""
         known = self.known
+        inputs = self.inputs
         count = later = 0  # later: the slots of the factors after factor i
         for i in range(len(slots) - 1, -1, -1):
             a = slots[i]
             walked, perfect = known[a]
             fresh = later & ~walked
             if fresh:
-                pf, start = inputs[i]
-                for j in range(i + 1, len(slots)):
-                    b = 1 << slots[j]
-                    if fresh & b and _reached(pf, inputs[j][0], start) == n:
-                        perfect |= b
+                walk = inputs[a]
+                for b in slots[i + 1 :]:
+                    bit = 1 << b
+                    if fresh & bit and _reached(walk, inputs[b]):
+                        perfect |= bit
                 known[a] = (walked | fresh, perfect)
             count += (perfect & later).bit_count()
             later |= 1 << a
@@ -333,22 +330,13 @@ def count_perfect_pairs(fz: Factorization) -> int:
     """Number of unordered perfect pairs among the factors, by traversal.
 
     Counts with the witness-free walk; classify_pair and union_walk give
-    the verdict of one pair together with its path or cycle.  The checks
-    `_is_perfect` makes on each pair are made once for the whole
-    factorization; when one fails, every pair goes through `_is_perfect`,
-    so the error raised is the one of the first failing pair in
-    `combinations` order.  A factorization from enumerate_factorizations
-    walks only the pairs its run has not walked yet.
+    the verdict of one pair together with its path or cycle.  A
+    factorization from enumerate_factorizations is counted from its run's
+    table, walking only the pairs the run has not walked yet; any other is
+    the sum of `_pair_verdicts`, which checks the preconditions of the walk
+    once and otherwise classifies pair by pair.
     """
-    inputs = _walk_inputs(fz)
-    if inputs is None:
-        return sum(1 for f, g in combinations(fz.factors, 2) if _is_perfect(f, g))
-    n = fz.factors[0].n
     run = vars(fz).get("_run")  # (slots, _Verdicts), set by the oracle
     if run is not None:
-        return run[1].count(inputs, run[0], n)
-    count = 0
-    for (pf, start), (pg, _) in combinations(inputs, 2):
-        if _reached(pf, pg, start) == n:
-            count += 1
-    return count
+        return run[1].count(run[0])
+    return sum(_pair_verdicts(fz))

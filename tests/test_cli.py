@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -120,8 +121,11 @@ def test_pairs_allocates_the_matrix_only_with_matrix_flag(capsys, monkeypatch):
     # changing what cmd_pairs itself allocates.
     monkeypatch.setattr(
         nearfactor.cli,
-        "_is_perfect",
-        lambda f, g: is_perfect_by_gcd(f.index, g.index, f.n),
+        "_pair_verdicts",
+        lambda fz: (
+            is_perfect_by_gcd(f.index, g.index, f.n)
+            for f, g in combinations(fz.factors, 2)
+        ),
     )
     n = 301
     matrix_pointers = 8 * n * n
@@ -315,6 +319,15 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["edges"] == [[1, 4], [2, 3]]
+
+
+def test_unwritable_output_is_a_validation_error(tmp_path, capsys):
+    for target in (tmp_path / "no" / "such" / "x.json", tmp_path):
+        code, out, err = run(capsys, "construct", "--n", "5", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
 
 
 def test_output_is_deterministic(capsys):

@@ -1,9 +1,8 @@
 """The witness-free counting kernel against the witness path and the oracle.
 
-`_is_perfect` must return exactly `classify_pair(f, g).perfect`, raising the
-same errors, on any pair of factors, well-formed or not.  `count_perfect_pairs`
-must equal the sum of `_is_perfect` over all pairs, or raise the error of the
-first failing pair, and must build no witness.
+`count_perfect_pairs` must equal the sum of `classify_pair(f, g).perfect`
+over all pairs, or raise the error of the first failing pair, on any
+factors, well-formed or not, and must build no witness when it walks.
 """
 
 import random
@@ -21,7 +20,7 @@ from nearfactor.factors import (
     factorization_problems,
 )
 from nearfactor.oracle import enumerate_factorizations, independent_hamiltonicity_check
-from nearfactor.pairing import _is_perfect, classify_pair, count_perfect_pairs
+from nearfactor.pairing import classify_pair, count_perfect_pairs
 
 
 def _matching(rng: random.Random, n: int) -> tuple[list[tuple[int, int]], int | None]:
@@ -78,21 +77,39 @@ def _random_pair(rng: random.Random) -> tuple[Factor, Factor]:
     return f, g
 
 
+def _count_pair(f: Factor, g: Factor) -> bool:
+    return count_perfect_pairs(Factorization(n=f.n, factors=(f, g))) == 1
+
+
 def test_kernel_matches_classify_pair_on_random_pairs():
+    """One pair counted as a factorization: walked or classified, as expected.
+
+    The walk covers shared edges and a wrong but in-range isolated vertex;
+    every pair it cannot walk is classified, errors included.
+    """
     rng = random.Random(20140)
-    outcomes = set()
+    outcomes = set()  # (walked, verdict or error type)
     for _ in range(4000):
         f, g = _random_pair(rng)
         expected = _outcome(lambda a, b: classify_pair(a, b).perfect, f, g)
-        assert _outcome(_is_perfect, f, g) == expected, (f, g)
-        outcomes.add(expected if isinstance(expected, bool) else expected[0])
-    assert outcomes == {True, False, "ValueError", "IndexError"}
+        assert _outcome(_count_pair, f, g) == expected, (f, g)
+        walked = pairing._walk_inputs(Factorization(n=f.n, factors=(f, g)))
+        outcome = expected if isinstance(expected, bool) else expected[0]
+        outcomes.add((walked is not None, outcome))
+    assert outcomes == {
+        (True, True),
+        (True, False),
+        (False, True),
+        (False, False),
+        (False, "ValueError"),
+        (False, "IndexError"),
+    }
 
 
 def _per_pair(fz: Factorization):
-    """The reference count: every pair through `_is_perfect`, in order."""
+    """The reference count: every pair through classify_pair, in order."""
     try:
-        return sum(_is_perfect(f, g) for f, g in combinations(fz.factors, 2))
+        return sum(classify_pair(f, g).perfect for f, g in combinations(fz.factors, 2))
     except (ValueError, IndexError) as exc:
         return type(exc).__name__, str(exc)
 

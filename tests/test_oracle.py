@@ -28,7 +28,7 @@ from nearfactor.oracle import (
     oracle_summary,
     write_factorizations_ndjson,
 )
-from nearfactor.pairing import _is_perfect, count_perfect_pairs
+from nearfactor.pairing import classify_pair, count_perfect_pairs
 
 
 def _canonical(fz):
@@ -235,7 +235,7 @@ def test_oracle_builds_factors_without_canonicalising_or_rebuilding(monkeypatch)
 
 
 def _per_pair(fz):
-    return sum(_is_perfect(f, g) for f, g in combinations(fz.factors, 2))
+    return sum(classify_pair(f, g).perfect for f, g in combinations(fz.factors, 2))
 
 
 def _run(fz):
@@ -270,6 +270,20 @@ def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
     assert max(counts) == 21 and len(counts) == 6240
 
 
+def test_oracle_counts_from_its_run_table_alone(monkeypatch):
+    """Streamed factorizations never re-check their factors' walk inputs."""
+
+    def refuse(fz):
+        raise AssertionError("oracle factors re-checked")
+
+    monkeypatch.setattr(pairing, "_walk_inputs", refuse)
+    summary = oracle_summary(7)
+    assert (summary.exact_c, summary.factorizations_seen) == (21, 6240)
+    prefix = islice(enumerate_factorizations(9), 500)
+    counts = [count_perfect_pairs(fz) for fz in prefix]
+    assert [max(counts), sum(counts)] == [26, 10738]
+
+
 def test_oracle_counts_match_per_pair_sum_on_n9_prefix():
     for fz in islice(enumerate_factorizations(9), 3000):
         assert count_perfect_pairs(fz) == _per_pair(fz)
@@ -299,7 +313,7 @@ def test_oracle_verdict_table_holds_each_pair_verdict():
     for a, b in pairs:
         walked, perfect = table.known[a]
         assert walked >> b & 1
-        assert perfect >> b & 1 == _is_perfect(factor_of[a], factor_of[b])
+        assert perfect >> b & 1 == classify_pair(factor_of[a], factor_of[b]).perfect
     for a, (walked, perfect) in enumerate(table.known):
         assert not walked >> a & 1
         assert perfect & ~walked == 0
@@ -331,10 +345,12 @@ def test_threads_counting_one_run_agree_with_the_per_pair_sum():
 
 
 def test_oracle_runs_share_no_verdict_table():
-    first = {id(_run(fz)[1]) for fz in enumerate_factorizations(7)}
-    second = {id(_run(fz)[1]) for fz in enumerate_factorizations(7)}
+    # The sets hold the tables themselves (compared by identity), so the
+    # first run's table cannot be freed and its address reused by the second.
+    first = {_run(fz)[1] for fz in enumerate_factorizations(7)}
+    second = {_run(fz)[1] for fz in enumerate_factorizations(7)}
     assert len(first) == len(second) == 1
-    assert first != second
+    assert first.isdisjoint(second)
     prefix = list(islice(enumerate_factorizations(9), 3000))
     slots = {a for fz in prefix for a in _run(fz)[0]}
     assert slots == set(range(len(slots)))
@@ -434,12 +450,15 @@ def test_k9_stream_order_is_pinned():
 
 
 @pytest.mark.expensive
-def test_exact_c_9_full_enumeration_meets_lower_bound():
+def test_exact_c_9_full_enumeration_reaches_the_maximum():
     """Complete n = 9 sweep: enumerates all 1,225,566,720 factorizations.
 
-    This is a pure-Python run of about 16 hours (about 21k counted
-    factorizations per second); it is excluded from the default
-    suite (see addopts) and exists so the full computation has a launchable
-    entry point: ``pytest -m expensive``.
+    The perfect factorization in ``tests/data/k9_perfect.json`` has all
+    C(9, 2) = 36 pairs perfect, and no factorization can have more, so the
+    sweep must find exactly 36 (the modular family gives only 27).  This is
+    a pure-Python run of about 16 hours (about 21k counted factorizations
+    per second); it is excluded from the default suite (see addopts) and
+    exists so the full computation has a launchable entry point:
+    ``pytest -m expensive``.
     """
-    assert exact_c(9, expensive=True) >= 27
+    assert exact_c(9, expensive=True) == 36
