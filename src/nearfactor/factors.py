@@ -168,6 +168,11 @@ class Factorization(Record):
             raise ValueError(f"graph order must be >= 3, got {n}")
         vars(self).update(n=n, factors=tuple(factors))
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild from the fields alone, so a copy
+        # leaves behind the run attachment enumerate_factorizations sets.
+        return (self.__class__, (self.n, self.factors))
+
     def to_dict(self) -> dict:
         return {"n": self.n, "factors": [f.to_dict() for f in self.factors]}
 

@@ -23,7 +23,7 @@ from itertools import combinations
 from ._record import Record
 from .factors import Factor, Factorization
 from .numtheory import totient
-from .pairing import _Verdicts, classify_pair, count_perfect_pairs
+from .pairing import _reached, classify_pair, count_perfect_pairs
 
 
 class CostGuardError(RuntimeError):
@@ -53,11 +53,14 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     are left unset.  Each factor arrives with its partner array already
     built, so counting never rebuilds it.  Within one call, equal factors
     are one shared (immutable) object: each distinct factor is built once,
-    when it first completes, into the run's table, which no other call
-    shares.  The table holds each factor under its slot (its creation
-    index) with its walk inputs and pair verdicts; every factorization
-    carries the slots of its factors and the table, with which
-    count_perfect_pairs walks each distinct pair once per run.
+    when it first completes, under its slot (its run-local creation index).
+    Building slot b walks it against every earlier slot a with no edge in
+    common, the only factors it can share a factorization with, and marks
+    a perfect pair in both slots' masks: bit a of `perfect[b]` and bit b of
+    `perfect[a]`.  Every factorization carries the slots of its factors and
+    its run's `perfect` list, which no other call shares and which holds
+    every verdict of its pairs before it is yielded, so count_perfect_pairs
+    counts it without a walk.
     """
     n = _check_enumerable(n)
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -69,12 +72,16 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     # held[c] = bitmask of the edge positions assigned to factor c.  At a
     # leaf the mask alone determines the factor (c is the one vertex its
     # edges miss), so it is the key of `built`, which gives the factor's
-    # slot in `run`, this run's memo of factors and their pair verdicts.
+    # slot, in slot order.  made[slot] is the factor, walks[slot] its
+    # (partner array, isolated vertex) and perfect[slot] the bitmask of the
+    # slots it forms a perfect pair with.
     held = [0] * n
     assigned = [0] * m
     avail = [0] * m
     built: dict[int, int] = {}
-    run = _Verdicts()
+    made: list[Factor] = []
+    walks: list[tuple[tuple[int | None, ...], int]] = []
+    perfect: list[int] = []
 
     def build(c: int, mask: int) -> int:
         edges = [e for pos, e in enumerate(edge_list) if mask >> pos & 1]
@@ -82,10 +89,18 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         for u, v in edges:
             partners[u] = v
             partners[v] = u
-        built[mask] = slot = run.add(
-            Factor._prebuilt(n, tuple(edges), c, tuple(partners))
-        )
-        return slot
+        walk = (tuple(partners), c)
+        b = len(made)
+        mine = 0
+        for other, a in built.items():
+            if not other & mask and _reached(walks[a], walk):
+                mine |= 1 << a
+                perfect[a] |= 1 << b
+        made.append(Factor._prebuilt(n, tuple(edges), c, walk[0]))
+        walks.append(walk)
+        perfect.append(mine)
+        built[mask] = b
+        return b
 
     # Explicit-stack backtracking: avail[pos] holds the factors still to try
     # at edge pos and assigned[pos] the current one.  Every assignment is
@@ -116,8 +131,8 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
                 if slot is None:
                     slot = build(k, held[k])
                 slots.append(slot)
-            fz = Factorization(n=n, factors=[run.factors[a] for a in slots])
-            vars(fz)["_run"] = (tuple(slots), run)
+            fz = Factorization(n=n, factors=[made[a] for a in slots])
+            vars(fz)["_run"] = (tuple(slots), perfect)
             yield fz
         else:
             pos -= 1

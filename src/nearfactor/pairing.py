@@ -278,65 +278,22 @@ def _pair_verdicts(fz: Factorization) -> Iterator[bool]:
     return starmap(_reached, combinations(inputs, 2))
 
 
-class _Verdicts:
-    """The factors of one oracle run and their pair verdicts, by slot.
-
-    A slot is the run-local creation index of a distinct factor: `factors`
-    holds the factor and `inputs` its (partner array, isolated vertex).
-    `known[a]` is (walked, perfect): bit b of `walked` is set once the pair
-    of slots (a, b) has been walked from a's isolated vertex, and of
-    `perfect` if it was perfect.  A slot's pair is replaced whole, so two
-    threads counting at once can lose what one of them learnt, never mix it.
-    The oracle builds the factors as distinct near-one-factors of one odd
-    order, so their pairs need none of the checks of `_walk_inputs`.
-    """
-
-    __slots__ = ("factors", "inputs", "known")
-
-    def __init__(self) -> None:
-        self.factors: list[Factor] = []
-        self.inputs: list[tuple[tuple[int | None, ...], int]] = []
-        self.known: list[tuple[int, int]] = []
-
-    def add(self, factor: Factor) -> int:
-        """The slot of a new factor, none of whose pairs is walked yet."""
-        self.factors.append(factor)
-        self.inputs.append((factor.partners, factor.isolated))
-        self.known.append((0, 0))
-        return len(self.known) - 1
-
-    def count(self, slots: tuple[int, ...]) -> int:
-        """count_perfect_pairs of the factors in these slots, in this order."""
-        known = self.known
-        inputs = self.inputs
-        count = later = 0  # later: the slots of the factors after factor i
-        for i in range(len(slots) - 1, -1, -1):
-            a = slots[i]
-            walked, perfect = known[a]
-            fresh = later & ~walked
-            if fresh:
-                walk = inputs[a]
-                for b in slots[i + 1 :]:
-                    bit = 1 << b
-                    if fresh & bit and _reached(walk, inputs[b]):
-                        perfect |= bit
-                known[a] = (walked | fresh, perfect)
-            count += (perfect & later).bit_count()
-            later |= 1 << a
-        return count
-
-
 def count_perfect_pairs(fz: Factorization) -> int:
     """Number of unordered perfect pairs among the factors, by traversal.
 
     Counts with the witness-free walk; classify_pair and union_walk give
     the verdict of one pair together with its path or cycle.  A
-    factorization from enumerate_factorizations is counted from its run's
-    table, walking only the pairs the run has not walked yet; any other is
-    the sum of `_pair_verdicts`, which checks the preconditions of the walk
-    once and otherwise classifies pair by pair.
+    factorization from enumerate_factorizations is counted from the
+    verdicts its run decided when it built each factor, with no walk; any
+    other is the sum of `_pair_verdicts`, which checks the preconditions of
+    the walk once and otherwise classifies pair by pair.
     """
-    run = vars(fz).get("_run")  # (slots, _Verdicts), set by the oracle
-    if run is not None:
-        return run[1].count(run[0])
-    return sum(_pair_verdicts(fz))
+    run = vars(fz).get("_run")  # (slots, perfect), set by the oracle
+    if run is None:
+        return sum(_pair_verdicts(fz))
+    slots, perfect = run
+    count = earlier = 0  # earlier: the slots of the factors before this one
+    for a in slots:
+        count += (perfect[a] & earlier).bit_count()
+        earlier |= 1 << a
+    return count

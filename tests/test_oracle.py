@@ -11,6 +11,7 @@ from itertools import chain, combinations, islice
 import pytest
 
 import nearfactor.factors
+import nearfactor.oracle as oracle
 import nearfactor.pairing as pairing
 from nearfactor.factors import (
     Factor,
@@ -239,33 +240,54 @@ def _per_pair(fz):
 
 
 def _run(fz):
-    """The (slots, verdict table) attachment the oracle gives a factorization."""
+    """The (slots, perfect masks) attachment the oracle gives a factorization."""
     return vars(fz)["_run"]
 
 
-def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
-    """A whole n = 7 stream walks its 3150 distinct pairs once, not 131,040.
+def _disjoint_pairs(factors):
+    """The unordered pairs of factors with no edge in common."""
+    return {
+        frozenset((f, g))
+        for f, g in combinations(factors, 2)
+        if set(f.edges).isdisjoint(g.edges)
+    }
 
-    Each count still equals the per-pair sum.  The n = 5 stream counted
-    first is another run, whose verdicts the n = 7 run must not see.
+
+def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
+    """A run walks each pair of edge-disjoint factors once, as it builds them.
+
+    The pairs come from the factors' edge sets: 75 at n = 5 and 3570 at
+    n = 7, against 131,040 pairs counted over the n = 7 stream.  Counting
+    walks nothing, and each count equals the per-pair sum.  The n = 5
+    stream counted first is another run, whose walks the n = 7 run must
+    not repeat or skip.
     """
     walks = []
-    reached = pairing._reached
+    reached = oracle._reached
 
     def counted(*args):
         walks.append(args)
         return reached(*args)
 
-    for n, distinct in ((5, 60), (7, 3150)):
+    def refuse(*args):
+        raise AssertionError("pair walked while counting")
+
+    monkeypatch.setattr(oracle, "_reached", counted)
+    monkeypatch.setattr(pairing, "_reached", refuse)
+    for n, disjoint in ((5, 75), (7, 3570)):
         expected = []
         counts = []
+        factors = set()
         for fz in enumerate_factorizations(n):
             expected.append(_per_pair(fz))
-            with monkeypatch.context() as m:
-                m.setattr(pairing, "_reached", counted)
-                counts.append(count_perfect_pairs(fz))
+            counts.append(count_perfect_pairs(fz))
+            factors.update(fz.factors)
         assert counts == expected
-        assert len(walks) == distinct
+        pairs = _disjoint_pairs(factors)
+        by_partners = {f.partners: f for f in factors}
+        walked = [frozenset((by_partners[f[0]], by_partners[g[0]])) for f, g in walks]
+        assert len(walked) == len(set(walked)) == len(pairs) == disjoint
+        assert set(walked) == pairs
         walks.clear()
     assert max(counts) == 21 and len(counts) == 6240
 
@@ -290,33 +312,32 @@ def test_oracle_counts_match_per_pair_sum_on_n9_prefix():
 
 
 def test_oracle_verdict_table_holds_each_pair_verdict():
-    """After a whole n = 7 run, every walked pair is recorded by its slots.
+    """After a whole n = 7 run, every pair's verdict is held by its slots.
 
-    Slots are 0..104, one per distinct factor.  Bit b of a slot a's walked
-    mask marks a pair walked from a to a later slot b of some
-    factorization, never a slot with itself, and its bit in the perfect
-    mask is that pair's verdict.
+    Slots are 0..104, one per distinct factor, and the run holds one
+    perfect mask per slot.  The masks are symmetric, no slot is paired
+    with itself, every bit of a pair that shares a factorization is that
+    pair's classify_pair verdict, and no other pair has its bit set.
     """
     factor_of = {}
     pairs = set()
     for fz in enumerate_factorizations(7):
-        slots, table = _run(fz)
+        slots, perfect = _run(fz)
         assert len(slots) == len(fz.factors)
         for a, f in zip(slots, fz.factors):
             assert factor_of.setdefault(a, f) is f
-        pairs.update(combinations(slots, 2))
-        count_perfect_pairs(fz)
+        pairs.update(combinations(sorted(slots), 2))
     assert sorted(factor_of) == list(range(105))
     assert len(set(map(id, factor_of.values()))) == 105
-    assert len(table.known) == 105
-    assert len(pairs) == sum(w.bit_count() for w, _ in table.known) == 3150
-    for a, b in pairs:
-        walked, perfect = table.known[a]
-        assert walked >> b & 1
-        assert perfect >> b & 1 == classify_pair(factor_of[a], factor_of[b]).perfect
-    for a, (walked, perfect) in enumerate(table.known):
-        assert not walked >> a & 1
-        assert perfect & ~walked == 0
+    assert len(perfect) == 105
+    assert len(pairs) == 3150
+    for a, mask in enumerate(perfect):
+        assert not mask >> a & 1
+        for b in range(105):
+            assert mask >> b & 1 == perfect[b] >> a & 1
+    for a, b in combinations(range(105), 2):
+        verdict = (a, b) in pairs and classify_pair(factor_of[a], factor_of[b]).perfect
+        assert perfect[a] >> b & 1 == verdict
 
 
 def test_threads_counting_one_run_agree_with_the_per_pair_sum():
@@ -345,12 +366,15 @@ def test_threads_counting_one_run_agree_with_the_per_pair_sum():
 
 
 def test_oracle_runs_share_no_verdict_table():
-    # The sets hold the tables themselves (compared by identity), so the
-    # first run's table cannot be freed and its address reused by the second.
-    first = {_run(fz)[1] for fz in enumerate_factorizations(7)}
-    second = {_run(fz)[1] for fz in enumerate_factorizations(7)}
-    assert len(first) == len(second) == 1
-    assert first.isdisjoint(second)
+    # The lists hold each run's mask list itself (compared by identity), so
+    # the first run's list cannot be freed and its address reused by the
+    # second.
+    first = [_run(fz)[1] for fz in enumerate_factorizations(7)]
+    second = [_run(fz)[1] for fz in enumerate_factorizations(7)]
+    assert all(masks is first[0] for masks in first)
+    assert all(masks is second[0] for masks in second)
+    assert first[0] is not second[0]
+    assert first[0] == second[0] and len(first[0]) == 105
     prefix = list(islice(enumerate_factorizations(9), 3000))
     slots = {a for fz in prefix for a in _run(fz)[0]}
     assert slots == set(range(len(slots)))
@@ -387,6 +411,21 @@ def test_copies_of_oracle_factorizations_count_the_same():
         assert cold == [expected] * 5
         assert warm == [expected] * 2
         assert expected == _per_pair(fz)
+
+
+def test_copies_of_oracle_factorizations_leave_the_run_behind():
+    """copy, deepcopy and pickle keep the fields and drop the run attachment.
+
+    A copy is then counted pair by pair, as a rebuilt factorization is, and
+    the pickle of a streamed factorization carries none of its run's masks:
+    it is no larger than the pickle of the same factors rebuilt.
+    """
+    for fz in islice(enumerate_factorizations(9), 0, 3000, 151):
+        rebuilt = Factorization(fz.n, fz.factors)
+        for clone in (copy.copy(fz), copy.deepcopy(fz), pickle.loads(pickle.dumps(fz))):
+            assert clone == fz
+            assert "_run" not in vars(clone)
+        assert len(pickle.dumps(fz)) <= len(pickle.dumps(rebuilt))
 
 
 def test_perfect_counts_vary_across_k5_factorizations():
