@@ -5,7 +5,7 @@ maximum perfect-pair count, and sets it against the n * phi(n) / 2 pairs
 the sum-rule family guarantees.  At n = 3, 5, 7 the bound is tight and
 equals C(n, 2): every pair of factors is perfect.
 
-The n = 7 sweep visits 6240 factorizations and takes about 0.2 s; it is
+The n = 7 sweep visits 6240 factorizations and takes about 0.1 s; it is
 skipped unless requested.  n = 9 (over a billion factorizations) is
 far beyond a demo and always refused here.
 """

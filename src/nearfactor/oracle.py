@@ -19,6 +19,7 @@ import operator
 from collections.abc import Iterator
 from io import TextIOBase
 from itertools import combinations
+from operator import lshift, or_
 
 from ._record import Record
 from .factors import Factor, Factorization
@@ -43,6 +44,52 @@ def _check_enumerable(n: int, expensive: bool = True) -> int:
     return n
 
 
+def _fill(edges, marks, used, held, full):
+    """Yield once per way to give every edge in `edges` a factor, lowest first.
+
+    The oracle's one edge search.  Edge (u, v) may take any factor of `full`
+    missing from used[u] | used[v]; while a yield is pending, `used` and
+    `held` include the assignment (edge i with factor c: bit c in both ends'
+    `used`, marks[i] in held[c]).  Explicit stack: avail[i] holds the
+    factors still to try at edge i; every assignment is undone once.
+    """
+    if not edges:
+        yield
+        return
+    last = len(edges) - 1
+    avail = [0] * len(edges)
+    picked = [0] * len(edges)
+    pos = 0
+    u, v = edges[0]
+    avail[0] = full & ~(used[u] | used[v])
+    while True:
+        free = avail[pos]
+        if free:
+            bit = free & -free
+            avail[pos] = free ^ bit
+            u, v = edges[pos]
+            used[u] |= bit
+            used[v] |= bit
+            c = picked[pos] = bit.bit_length() - 1
+            held[c] |= marks[pos]
+            if pos < last:
+                pos += 1
+                u, v = edges[pos]
+                avail[pos] = full & ~(used[u] | used[v])
+                continue
+            yield
+        else:
+            pos -= 1
+            if pos < 0:
+                return
+            u, v = edges[pos]
+            c = picked[pos]
+            bit = 1 << c
+        used[u] ^= bit
+        used[v] ^= bit
+        held[c] ^= marks[pos]
+
+
 def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     """Yield every near-one-factorization of K_n exactly once, canonically.
 
@@ -50,50 +97,56 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     edge {u, v} may be any factor other than u and v whose matching does not
     yet touch u or v (per-vertex bitmasks), lowest factor first.  Emitted
     factorizations carry factors sorted by their edge lists; factor indices
-    are left unset.  Each factor arrives with its partner array already
-    built, so counting never rebuilds it.  Within one call, equal factors
-    are one shared (immutable) object: each distinct factor is built once,
-    when it first completes, under its slot (its run-local creation index).
-    Building slot b walks it against every earlier slot a with no edge in
-    common, the only factors it can share a factorization with, and marks
-    a perfect pair in both slots' masks: bit a of `perfect[b]` and bit b of
-    `perfect[a]`.  Every factorization carries the slots of its factors and
-    its run's `perfect` list, which no other call shares and which holds
-    every verdict of its pairs before it is yielded, so count_perfect_pairs
-    counts it without a walk.
+    are left unset.  Row u is the edges (u, v), v > u.  Once the rows before
+    the tail, the last four vertices R.. (R = max(1, n - 4)), are assigned,
+    the ways to finish depend only on the factors already matching each
+    remaining vertex, so a run searches the tail (`tails`) and row R - 1
+    (`rows`) once per distinct state and replays them; a state with no
+    completion is stored empty.  Each factor arrives with its partner
+    array already built, so counting never rebuilds it.  Within one call,
+    equal factors are one shared (immutable) object: each distinct factor
+    is built once, when it first completes, under its slot (its run-local
+    creation index).  Building slot b walks it against every earlier slot a
+    with no edge in common and another isolated vertex, the only factors it
+    can share a factorization with, and marks a perfect pair in both slots'
+    masks: bit a of `perfect[b]` and bit b of `perfect[a]`.  Every
+    factorization carries the slots of its factors and its run's `perfect`
+    list, which no other call shares and which holds every verdict of its
+    pairs before it is yielded, so count_perfect_pairs counts it without a
+    walk.
     """
     n = _check_enumerable(n)
-    edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(edge_list)
     full = (1 << n) - 1
-    # used[v] = bitmask of factors already matching vertex v; factor v itself
-    # is banned at v from the start, which pins "factor p isolates vertex p".
-    used = [1 << v for v in range(n)]
-    # held[c] = bitmask of the edge positions assigned to factor c.  At a
-    # leaf the mask alone determines the factor (c is the one vertex its
-    # edges miss), so it is the key of `built`, which gives the factor's
-    # slot, in slot order.  made[slot] is the factor, walks[slot] its
-    # (partner array, isolated vertex) and perfect[slot] the bitmask of the
-    # slots it forms a perfect pair with.
-    held = [0] * n
-    assigned = [0] * m
-    avail = [0] * m
+    tail = max(1, n - 4)
+    row = tail - 1
+    edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # Of m edges, the one at position pos is bit m - 1 - pos of a factor's
+    # edge mask, so disjoint masks sort, largest first, by first edge: the
+    # emitted order.  The mask alone determines the factor, so it is the key of
+    # `built`, which gives the factor's slot.  made[slot] is the factor,
+    # walks[slot] its (partner array, isolated vertex) and perfect[slot]
+    # the bitmask of the slots it forms a perfect pair with.
+    marks = [1 << pos for pos in reversed(range(len(edge_list)))]
+    at_row = edge_list.index((row, row + 1))
+    row_edges = slice(at_row, at_row + n - tail)
+    tail_edges = slice(row_edges.stop, None)
     built: dict[int, int] = {}
     made: list[Factor] = []
     walks: list[tuple[tuple[int | None, ...], int]] = []
     perfect: list[int] = []
 
-    def build(c: int, mask: int) -> int:
-        edges = [e for pos, e in enumerate(edge_list) if mask >> pos & 1]
+    def build(mask: int) -> int:
+        edges = [e for e, mark in zip(edge_list, marks) if mask & mark]
         partners: list[int | None] = [None] * n
         for u, v in edges:
             partners[u] = v
             partners[v] = u
+        c = partners.index(None)
         walk = (tuple(partners), c)
         b = len(made)
         mine = 0
         for other, a in built.items():
-            if not other & mask and _reached(walks[a], walk):
+            if not other & mask and walks[a][1] != c and _reached(walks[a], walk):
                 mine |= 1 << a
                 perfect[a] |= 1 << b
         made.append(Factor._prebuilt(n, tuple(edges), c, walk[0]))
@@ -102,48 +155,55 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         built[mask] = b
         return b
 
-    # Explicit-stack backtracking: avail[pos] holds the factors still to try
-    # at edge pos and assigned[pos] the current one.  Every assignment is
-    # undone once, right after its leaf is yielded or its subtree exhausted.
-    last = m - 1
-    pos = 0
-    avail[0] = full & ~(used[0] | used[1])  # edge (0, 1)
-    while True:
-        free = avail[pos]
-        if free:
-            bit = free & -free
-            avail[pos] = free ^ bit
-            u, v = edge_list[pos]
-            used[u] |= bit
-            used[v] |= bit
-            c = assigned[pos] = bit.bit_length() - 1
-            held[c] |= 1 << pos
-            if pos < last:
-                pos += 1
-                u, v = edge_list[pos]
-                avail[pos] = full & ~(used[u] | used[v])
+    # Memo keys pack one n-bit field per tail vertex, tail + i at bit i * n
+    # (spread * x copies x into every field): `tails` is keyed on used[tail:]
+    # and lists every completion of the tail's edges, `rows` is keyed on the
+    # factors banned on each edge of the row, used[row] | used[v], and lists
+    # the row's assignments.  An entry holds the edge masks the assignment
+    # adds per factor, then (used in rows) the bits it adds to the key;
+    # `shared` holds one copy of each row entry and of each row value.
+    shifts = range(0, (n - tail) * n, n)
+    spread = sum(1 << s for s in shifts)
+    pad = [0] * (row + 1)
+
+    def search(edges: slice, key: int) -> list[tuple[int, ...]]:
+        used = pad + [key >> s & full for s in shifts]
+        held = [0] * n
+        found = _fill(edge_list[edges], marks[edges], used, held, full)
+        return [(*held, sum(map(lshift, used[tail:], shifts)) ^ key) for _ in found]
+
+    shared: dict[int | tuple, tuple] = {}
+    rows: dict[int, tuple] = {}
+    tails: dict[int, tuple] = {}
+    used = [1 << v for v in range(n)]  # factor v isolates vertex v
+    held = [0] * n
+    new = object.__new__  # leaves skip Factorization.__init__, as Factor._prebuilt does
+    slot_of = built.__getitem__
+    for _ in _fill(edge_list[:at_row], marks[:at_row], used, held, full):
+        rest = sum(map(lshift, used[tail:], shifts))
+        key = rest | used[row] * spread
+        options = rows.get(key)
+        if options is None:
+            found = tuple([shared.setdefault(w[n], w) for w in search(row_edges, key)])
+            options = rows[key] = shared.setdefault(found, found)
+        for way in options:
+            state = rest | way[n]
+            ends = tails.get(state)
+            if ends is None:
+                ends = tails[state] = tuple([w[:n] for w in search(tail_edges, state)])
+            if not ends:
                 continue
-            # Sorted by edge list = sorted by first edge: the factors holding
-            # (0, 1), ..., (0, n-1), then factor 0, which isolates vertex 0.
-            slots = []
-            for k in assigned[: n - 1] + [0]:
-                slot = built.get(held[k])
-                if slot is None:
-                    slot = build(k, held[k])
-                slots.append(slot)
-            fz = Factorization(n=n, factors=[made[a] for a in slots])
-            vars(fz)["_run"] = (tuple(slots), perfect)
-            yield fz
-        else:
-            pos -= 1
-            if pos < 0:
-                return
-            u, v = edge_list[pos]
-            c = assigned[pos]
-            bit = 1 << c
-        used[u] ^= bit
-        used[v] ^= bit
-        held[c] ^= 1 << pos
+            base = list(map(or_, held, way))
+            for last in ends:
+                masks = sorted(map(or_, base, last), reverse=True)
+                try:
+                    slots = tuple(map(slot_of, masks))
+                except KeyError:
+                    slots = tuple([built[k] if k in built else build(k) for k in masks])
+                fz = new(Factorization)
+                factors = tuple(map(made.__getitem__, slots))
+                vars(fz).update(n=n, factors=factors, _run=(slots, perfect))
+                yield fz
 
 
 class OracleSummary(Record):

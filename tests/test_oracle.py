@@ -1,12 +1,15 @@
 import copy
+import gc
 import hashlib
 import io
 import json
 import pickle
+import signal
 import sys
 import threading
+import tracemalloc
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, zip_longest
 
 import pytest
 
@@ -87,6 +90,120 @@ def test_enumeration_k5_cross_checked_against_k6_matchings():
     # K_5 into a one-factorization of K_6 and vice versa, so the counts match
     assert _count_k6_edge_colorings() == 6 * 120
     assert len(list(enumerate_factorizations(5))) == 6
+
+
+def _reference_factorizations(n):
+    """Every factorization of K_n by plain recursion, in the oracle's order.
+
+    Edges are given factors in lexicographic order, lowest free factor
+    first, and factor c never covers vertex c.  Each factorization is the
+    list of (edges, isolated vertex) of its factors, sorted by edge list.
+    """
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    used = [1 << v for v in range(n)]
+    full = (1 << n) - 1
+    factor = [0] * len(edges)
+
+    def rec(pos):
+        if pos == len(edges):
+            held = [[] for _ in range(n)]
+            for e, c in zip(edges, factor):
+                held[c].append(e)
+            yield sorted((tuple(held[c]), c) for c in range(n))
+            return
+        u, v = edges[pos]
+        avail = full & ~(used[u] | used[v])
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            used[u] |= bit
+            used[v] |= bit
+            factor[pos] = bit.bit_length() - 1
+            yield from rec(pos + 1)
+            used[u] ^= bit
+            used[v] ^= bit
+
+    return rec(0)
+
+
+def _give_up(signum, frame):
+    raise TimeoutError("the stream did not end within a minute")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("n, length", [(3, None), (5, None), (7, None), (9, 20000)])
+def test_stream_matches_a_plain_backtracker(n, length):
+    """The memoised search gives the reference's factorizations, in order.
+
+    Whole streams at n = 3, 5 and 7 (1, 6 and 6240 factorizations) and the
+    first 20,000 at n = 9.
+    """
+    stream = islice(enumerate_factorizations(n), length)
+    reference = islice(_reference_factorizations(n), length)
+    seen = 0
+    # A search that replays a wrong memo entry builds malformed factors,
+    # whose walks need not end: give up after a minute with a traceback.
+    previous = signal.signal(signal.SIGALRM, _give_up)
+    signal.alarm(60)
+    try:
+        for fz, factors in zip_longest(stream, reference):
+            assert [(f.edges, f.isolated) for f in fz.factors] == factors
+            seen += 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert seen == {3: 1, 5: 6, 7: 6240, 9: 20000}[n]
+
+
+def test_two_runs_in_lockstep_each_give_the_stream_of_one():
+    """Runs keep their memos apart: two n = 7 runs advanced together each
+    give what one run alone gives, factorizations and counts alike."""
+    alone = list(enumerate_factorizations(7))
+    expected = [count_perfect_pairs(fz) for fz in alone]
+    zipped = list(zip_longest(enumerate_factorizations(7), enumerate_factorizations(7)))
+    assert len(zipped) == len(alone) == 6240
+    for (a, b), fz in zip(zipped, alone):
+        assert a == b == fz
+    assert [count_perfect_pairs(a) for a, _ in zipped] == expected
+    assert [count_perfect_pairs(b) for _, b in zipped] == expected
+
+
+def test_each_run_starts_its_own_memos():
+    """The tail and row memos are locals of one run, never shared.
+
+    A run half way through the n = 7 stream holds more memo entries than
+    a run that has yielded one factorization, and the two hold different
+    dicts.
+    """
+    first = enumerate_factorizations(7)
+    second = enumerate_factorizations(7)
+    assert sum(1 for _ in islice(first, 3120)) == 3120
+    next(second)
+    memos = first.gi_frame.f_locals, second.gi_frame.f_locals
+    for name in ("rows", "tails", "shared"):
+        old, new = (frame[name] for frame in memos)
+        assert old is not new
+        assert 0 < len(new) < len(old)
+
+
+def test_oracle_memory_is_bounded_and_freed_with_its_run():
+    """An n = 7 run's memos stay small and go when the run ends.
+
+    Every memo is a local of one run: once the run is exhausted and
+    dropped, the traced memory is back where it started.  The peak bound
+    is about twice what a run measures (0.74 MB on CPython 3.11).
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(1 for _ in enumerate_factorizations(7)) == 6240
+        gc.collect()  # also empties the interpreter's free lists
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1_500_000
+    assert after - before < 50_000
 
 
 def test_enumeration_rejects_out_of_range():
@@ -245,22 +362,26 @@ def _run(fz):
 
 
 def _disjoint_pairs(factors):
-    """The unordered pairs of factors with no edge in common."""
+    """The unordered pairs of factors that can share a factorization.
+
+    Such factors have no edge in common and isolate different vertices.
+    """
     return {
         frozenset((f, g))
         for f, g in combinations(factors, 2)
-        if set(f.edges).isdisjoint(g.edges)
+        if set(f.edges).isdisjoint(g.edges) and f.isolated != g.isolated
     }
 
 
 def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
-    """A run walks each pair of edge-disjoint factors once, as it builds them.
+    """A run walks each pair that can share a factorization once, as it
+    builds the second factor of the pair.
 
-    The pairs come from the factors' edge sets: 75 at n = 5 and 3570 at
-    n = 7, against 131,040 pairs counted over the n = 7 stream.  Counting
-    walks nothing, and each count equals the per-pair sum.  The n = 5
-    stream counted first is another run, whose walks the n = 7 run must
-    not repeat or skip.
+    The pairs come from the factors' edge sets and isolated vertices: 60
+    at n = 5 and 3150 at n = 7, against 131,040 pairs counted over the
+    n = 7 stream.  Counting walks nothing, and each count equals the
+    per-pair sum.  The n = 5 stream counted first is another run, whose
+    walks the n = 7 run must not repeat or skip.
     """
     walks = []
     reached = oracle._reached
@@ -274,7 +395,7 @@ def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
 
     monkeypatch.setattr(oracle, "_reached", counted)
     monkeypatch.setattr(pairing, "_reached", refuse)
-    for n, disjoint in ((5, 75), (7, 3570)):
+    for n, disjoint in ((5, 60), (7, 3150)):
         expected = []
         counts = []
         factors = set()
@@ -341,7 +462,12 @@ def test_oracle_verdict_table_holds_each_pair_verdict():
 
 
 def test_threads_counting_one_run_agree_with_the_per_pair_sum():
-    """Four threads count the same cold n = 7 run at once, switching often."""
+    """Four threads count the same n = 7 run at once, switching often.
+
+    The run's masks are complete before each factorization is yielded, so
+    counting only reads them: the threads must agree with each other and
+    with the per-pair sum.
+    """
     stream = list(enumerate_factorizations(7))
     expected = [_per_pair(fz) for fz in stream]
     counts = [[] for _ in range(4)]
@@ -384,9 +510,9 @@ def test_oracle_runs_share_no_verdict_table():
 def test_copies_of_oracle_factorizations_count_the_same():
     """Rebuilt, copied and pickled factorizations count like the original.
 
-    Copies are taken before the original is counted, while its run's table
-    is still cold, and after.  The attachment takes no part in ==, hash,
-    repr or to_dict.
+    Copies are taken before the original is counted and after; the run's
+    masks are complete before a factorization is yielded, so both must
+    agree.  The attachment takes no part in ==, hash, repr or to_dict.
     """
     stream = chain(
         islice(enumerate_factorizations(7), 0, None, 97),
@@ -443,7 +569,7 @@ def test_perfect_counts_vary_across_k5_factorizations():
 
 
 def test_k9_stream_prefix_and_lower_bound_witness():
-    """Exercise the n = 9 machinery without the full (about 16 h) enumeration.
+    """Exercise the n = 9 machinery without the full (about 10 h) enumeration.
 
     A prefix of the stream must be valid and internally consistent, and the
     sum-family factorization of K_9 must witness the 27-pair lower bound
@@ -495,7 +621,7 @@ def test_exact_c_9_full_enumeration_reaches_the_maximum():
     The perfect factorization in ``tests/data/k9_perfect.json`` has all
     C(9, 2) = 36 pairs perfect, and no factorization can have more, so the
     sweep must find exactly 36 (the modular family gives only 27).  This is
-    a pure-Python run of about 16 hours (about 21k counted factorizations
+    a pure-Python run of about 10 hours (about 33k counted factorizations
     per second); it is excluded from the default suite (see addopts) and
     exists so the full computation has a launchable entry point:
     ``pytest -m expensive``.
