@@ -141,6 +141,9 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         for u, v in edges:
             partners[u] = v
             partners[v] = u
+        # _reached ends only on well-formed arrays; a double cover leaves two Nones.
+        if len(edges) != n // 2 or partners.count(None) != 1:
+            raise RuntimeError(f"the search built a malformed factor: {edges}")
         c = partners.index(None)
         walk = (tuple(partners), c)
         b = len(made)

@@ -30,8 +30,8 @@ class UnionWalk(Record):
       - "reached-other-isolated": dead end at the second factor's isolated
         vertex after covering all n vertices (a Hamiltonian path witness);
       - "stopped-early": dead end before covering all n vertices;
-      - "closed-cycle": the next edge would revisit a vertex (possible only
-        for malformed or overlapping input factors).
+      - "closed-cycle": the next edge returns to the start (possible only
+        when the first factor covers its declared isolated vertex).
     """
 
     start: int
@@ -101,8 +101,8 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
     """Walk from f's isolated vertex, alternating an edge of g, then of f.
 
     The walk stops at a vertex with no continuing edge in the factor whose
-    turn it is (for well-formed factors this is g's isolated vertex), or as
-    soon as the next edge would revisit a vertex.
+    turn it is (for well-formed factors this is g's isolated vertex), or at
+    the start, the one vertex it can revisit (see `_reached`).
     """
     n = _check_same_order(f, g)
     if n % 2 == 0:
@@ -112,26 +112,21 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
     if f.isolated is None or g.isolated is None:
         raise ValueError("both factors need an isolated vertex (odd order)")
     start = f.isolated
+    if not 0 <= start < n:
+        raise ValueError(f"isolated vertex {start} out of range for order {n}")
     vertices = [start]
     edges: list[tuple[int, int]] = []
-    seen = {start}
     current = start
     for step in cycle((g.partners, f.partners)):
         nxt = step[current]
         if nxt is None:
             terminal = TERMINAL_REACHED if len(vertices) == n else TERMINAL_EARLY
             break
-        if nxt in seen:
-            # Unreachable for well-formed distinct near-one-factors; kept so
-            # that overlapping external input cannot loop forever.
-            if nxt == start:
-                edges.append((current, nxt))
-                vertices.append(nxt)
-            terminal = TERMINAL_CYCLE
-            break
         edges.append((current, nxt))
         vertices.append(nxt)
-        seen.add(nxt)
+        if nxt == start:
+            terminal = TERMINAL_CYCLE
+            break
         current = nxt
     return UnionWalk(start, tuple(vertices), tuple(edges), terminal)
 
@@ -179,7 +174,8 @@ def is_perfect_by_gcd(k: int, l: int, n: int) -> bool:
 def classify_pair(f: Factor, g: Factor) -> PairClassification:
     """Classify a pair of factors of the same K_n; traversal is authoritative.
 
-    Odd order: perfect iff the alternating walk covers all n vertices.
+    Odd order: perfect iff the alternating walk covers all n vertices and
+    ends at a missing edge, not back at its start.
     Even order: perfect iff the union of the two matchings is one n-cycle.
     """
     n = _check_same_order(f, g)
@@ -187,7 +183,7 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
         raise ValueError("factors must be distinct")
     if n % 2 == 1:
         walk = union_walk(f, g)
-        perfect = len(walk.vertices) == n
+        perfect = walk.terminal == TERMINAL_REACHED
         gcd_perfect = None
         ki, li = f.modular_index, g.modular_index
         if ki is not None and li is not None and ki != li:
@@ -218,9 +214,11 @@ def _reached(
     """Whether the walk from f's isolated vertex reaches every vertex.
 
     The walk takes a g-edge, then an f-edge, and so on.  f and g are
-    (partner array, isolated vertex), as `_walk_inputs` gives them.  Both
-    partner arrays are involutions, so the first vertex the walk could
-    revisit is its start: checking `v == start` replaces a `seen` set.
+    (partner array, isolated vertex), as `_walk_inputs` gives them.
+    Precondition: both arrays are involutions with no fixed point, and f's
+    leaves the start uncovered.  The walk can then revisit only the start,
+    which f cannot lead back to and g only from g[start], revisited first;
+    so it ends at a missing edge within n steps.
     """
     pf, start = f
     pg = g[0]
@@ -228,14 +226,10 @@ def _reached(
     v = pg[start]
     while v is not None:
         reached += 1
-        if v == start:
-            break
         v = pf[v]
         if v is None:
             break
         reached += 1
-        if v == start:
-            break
         v = pg[v]
     return reached == len(pf)
 
@@ -246,8 +240,8 @@ def _walk_inputs(
     """(partner array, isolated vertex) of every factor, when all pairs walk.
 
     None unless `_reached` decides every pair as classify_pair would: one
-    odd order, every isolated vertex set and in range, pairwise distinct
-    edge lists and partner arrays that build.
+    odd order, every isolated vertex set, in range and uncovered, pairwise
+    distinct edge lists and partner arrays that build.
     """
     factors = fz.factors
     n = factors[0].n if factors else 0
@@ -256,12 +250,13 @@ def _walk_inputs(
     inputs = []
     for f in factors:
         start = f.isolated
-        if f.n != n or start is None or not 0 <= start < n:
-            return None
         try:
-            inputs.append((f.partners, start))
+            partners = f.partners
         except ValueError:
             return None
+        if f.n != n or start not in range(n) or partners[start] is not None:
+            return None
+        inputs.append((partners, start))
     return inputs
 
 

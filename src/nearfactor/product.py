@@ -64,19 +64,6 @@ class ProductFactor(Record):
             index=None,
         )
 
-    def to_dict(self) -> dict:
-        data = self.flattened().to_dict()
-        data.update(
-            {
-                "s": self.s,
-                "t": self.t,
-                "k": self.k,
-                "l": self.l,
-                "vertex_encoding": "positional",
-            }
-        )
-        return data
-
 
 def _check_orders(s: int, t: int) -> tuple[int, int]:
     s = operator.index(s)

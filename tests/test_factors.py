@@ -130,6 +130,13 @@ def test_validate_factor_names_first_violation():
     assert not validate_factor(even_with_isolated)
 
 
+@pytest.mark.parametrize("isolated", [-1, 5, 7])
+def test_validate_factor_refuses_an_isolated_vertex_out_of_range(isolated):
+    f = Factor(n=5, edges=build_modular_factor(5, 0).edges, isolated=isolated)
+    reason = f"isolated vertex {isolated} out of range for order 5"
+    assert validate_factor(f) == FactorVerdict(False, reason)
+
+
 def test_validate_factor_even_matchings():
     for n in range(4, 61, 2):
         for k in range(n):
@@ -234,6 +241,33 @@ def test_factorization_problems_clean_and_broken():
     problems = factorization_problems(broken)
     assert problems
     assert any("invalid" in p for p in problems)
+
+
+_K5 = build_modular_factorization(5).factors
+
+
+@pytest.mark.parametrize(
+    "factors, problems",
+    [
+        # A factor of another order stops the checks after the factor list.
+        (
+            (_K5[0], build_modular_factor(7, 1), *_K5[2:]),
+            ["factor 1 has order 7, expected 5"],
+        ),
+        # A repeated factor shares its edges and leaves a vertex never isolated.
+        (
+            (_K5[0], _K5[0], *_K5[2:]),
+            [
+                "edge (1, 4) appears in factors 0 and 1",
+                "edge (2, 3) appears in factors 0 and 1",
+                "vertex 0 is isolated in 2 factors, expected 1",
+                "vertex 3 is isolated in 0 factors, expected 1",
+            ],
+        ),
+    ],
+)
+def test_factorization_problems_names_order_and_isolation_defects(factors, problems):
+    assert factorization_problems(Factorization(n=5, factors=factors)) == problems
 
 
 @pytest.mark.parametrize(

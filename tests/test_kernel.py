@@ -84,8 +84,9 @@ def _count_pair(f: Factor, g: Factor) -> bool:
 def test_kernel_matches_classify_pair_on_random_pairs():
     """One pair counted as a factorization: walked or classified, as expected.
 
-    The walk covers shared edges and a wrong but in-range isolated vertex;
-    every pair it cannot walk is classified, errors included.
+    The walk covers shared edges, and a wrong but in-range isolated vertex
+    only when that vertex is uncovered; every pair it cannot walk is
+    classified, errors included.
     """
     rng = random.Random(20140)
     outcomes = set()  # (walked, verdict or error type)
@@ -102,7 +103,6 @@ def test_kernel_matches_classify_pair_on_random_pairs():
         (False, True),
         (False, False),
         (False, "ValueError"),
-        (False, "IndexError"),
     }
 
 
@@ -166,7 +166,6 @@ def test_count_fast_path_matches_per_pair_reference():
         (False, True),
         (False, False),
         (False, "ValueError"),
-        (False, "IndexError"),
     }
 
 

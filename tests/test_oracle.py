@@ -20,6 +20,7 @@ from nearfactor.factors import (
     Factor,
     Factorization,
     build_modular_factor,
+    build_modular_factor_even,
     build_modular_factorization,
     factorization_problems,
 )
@@ -155,6 +156,56 @@ def test_stream_matches_a_plain_backtracker(n, length):
     assert seen == {3: 1, 5: 6, 7: 6240, 9: 20000}[n]
 
 
+def _add_edge_at_a_covered_vertex(edges, marks, held):
+    """Give the factor holding edges[0] edges[1] too: they share a vertex."""
+    owner = next(c for c, mask in enumerate(held) if mask & marks[0])
+    held[owner] |= marks[1]
+
+
+def _swap_disjoint_edges(edges, marks, held):
+    """Swap two disjoint edges between two factors: each covers a vertex twice."""
+    owner = [next(c for c, mask in enumerate(held) if mask & m) for m in marks]
+    for i, j in combinations(range(len(edges)), 2):
+        c, d = owner[i], owner[j]
+        if c != d and not set(edges[i]) & set(edges[j]):
+            held[c] ^= marks[i] | marks[j]
+            held[d] ^= marks[i] | marks[j]
+            return
+    raise AssertionError("no two disjoint edges to swap")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize(
+    "corrupt", [_add_edge_at_a_covered_vertex, _swap_disjoint_edges]
+)
+def test_a_malformed_factor_stops_the_stream(monkeypatch, corrupt):
+    """A search bug that gives a factor a second edge at a vertex raises.
+
+    The first assignment of the streamed prefix is corrupted, so the first
+    factorization holds a factor that covers a vertex twice; walking it
+    need not end, so the stream must refuse to build it.
+    """
+    fill = oracle._fill
+    done = []
+
+    def corrupted(edges, marks, used, held, full):
+        for _ in fill(edges, marks, used, held, full):
+            if not done:
+                done.append(corrupt(edges, marks, held))
+            yield
+
+    monkeypatch.setattr(oracle, "_fill", corrupted)
+    previous = signal.signal(signal.SIGALRM, _give_up)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="malformed factor"):
+            next(enumerate_factorizations(7))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert done
+
+
 def test_two_runs_in_lockstep_each_give_the_stream_of_one():
     """Runs keep their memos apart: two n = 7 runs advanced together each
     give what one run alone gives, factorizations and counts alike."""
@@ -251,6 +302,41 @@ def test_independent_check_examples():
     )
     same = build_modular_factor(5, 0)
     assert not independent_hamiltonicity_check(same, same)
+
+
+@pytest.mark.parametrize(
+    "f, g, perfect",
+    [
+        # Even order: one 6-cycle, or two 4-cycles.
+        (build_modular_factor_even(6, 1), build_modular_factor_even(6, 3), True),
+        (
+            Factor(8, ((0, 1), (2, 3), (4, 5), (6, 7))),
+            Factor(8, ((0, 3), (1, 2), (4, 7), (5, 6))),
+            False,
+        ),
+        # Even order, six edges, but vertex 1 has degree 3 and vertex 5 degree 1.
+        (
+            Factor(6, ((0, 1), (2, 3), (4, 5))),
+            Factor(6, ((0, 3), (1, 2), (1, 4))),
+            False,
+        ),
+        # Too few edges for a Hamiltonian path.
+        (build_modular_factor(5, 0), Factor(5, ((1, 2),), 0), False),
+        # An edge leaves the vertex range.
+        (Factor(5, ((0, 1), (2, 7)), 4), Factor(5, ((1, 2), (3, 4)), 0), False),
+        # Odd order, four edges forming a 4-cycle: no vertex of degree 1.
+        (Factor(5, ((0, 1), (2, 3)), 4), Factor(5, ((1, 2), (0, 3)), 4), False),
+    ],
+)
+def test_independent_check_decides_by_census_and_scan(f, g, perfect):
+    assert independent_hamiltonicity_check(f, g) is perfect
+    assert independent_hamiltonicity_check(g, f) is perfect
+
+
+def test_independent_check_refuses_mismatched_orders():
+    f, g = build_modular_factor(5, 0), build_modular_factor(7, 0)
+    with pytest.raises(ValueError, match="mismatched graph orders: 5 vs 7"):
+        independent_hamiltonicity_check(f, g)
 
 
 def test_independent_check_agrees_with_walk_on_k5_enumeration():

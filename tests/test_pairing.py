@@ -2,9 +2,16 @@ from itertools import combinations
 
 import pytest
 
-from nearfactor.factors import Factor, build_modular_factor, build_modular_factorization
+import nearfactor.pairing as pairing
+from nearfactor.factors import (
+    Factor,
+    Factorization,
+    build_modular_factor,
+    build_modular_factorization,
+)
 from nearfactor.numtheory import gcd, totient
 from nearfactor.pairing import (
+    TERMINAL_CYCLE,
     TERMINAL_EARLY,
     TERMINAL_REACHED,
     classify_pair,
@@ -68,6 +75,49 @@ def test_union_walk_never_revisits():
             assert len(walk.vertices) <= n
             assert len(set(walk.vertices)) == len(walk.vertices)
             assert len(walk.edges) == len(walk.vertices) - 1
+
+
+@pytest.mark.parametrize("isolated", [-5, 7])
+@pytest.mark.parametrize(
+    "decide",
+    [
+        union_walk,
+        classify_pair,
+        lambda f, g: count_perfect_pairs(Factorization(n=5, factors=(f, g))),
+    ],
+    ids=["union_walk", "classify_pair", "count_perfect_pairs"],
+)
+def test_walk_refuses_a_start_out_of_range(decide, isolated):
+    # -5 would index from the end of a partner array, 7 past it
+    f, g = build_modular_factorization(5).factors[:2]
+    bad = Factor(n=5, edges=f.edges, isolated=isolated)
+    message = f"isolated vertex {isolated} out of range for order 5"
+    with pytest.raises(ValueError, match=message):
+        decide(bad, g)
+
+
+@pytest.mark.parametrize(
+    "f, g, vertices",
+    [
+        # f declares the covered vertex 0 isolated: the walk returns to it.
+        (Factor(5, ((0, 1), (3, 4)), 0), build_modular_factor(5, 1), (0, 1, 0)),
+        # The same through a 4-cycle: five vertices listed, four visited.
+        (
+            Factor(5, ((0, 1), (2, 3)), 0),
+            Factor(5, ((0, 3), (1, 2)), 4),
+            (0, 3, 2, 1, 0),
+        ),
+    ],
+)
+def test_walk_from_a_covered_start_closes_a_cycle(f, g, vertices):
+    walk = union_walk(f, g)
+    assert walk.terminal == TERMINAL_CYCLE
+    assert walk.vertices == vertices
+    assert walk.edges == tuple(zip(vertices, vertices[1:]))
+    assert not classify_pair(f, g).perfect
+    fz = Factorization(5, (f, g))
+    assert pairing._walk_inputs(fz) is None
+    assert count_perfect_pairs(fz) == 0
 
 
 def test_nth_union_edge_examples():
