@@ -4,14 +4,30 @@ A record class derives from Record, annotates its fields in the class body
 in constructor order, and writes its own `__init__`, which validates and
 then stores every field with `vars(self).update(...)`.  Record supplies
 `__match_args__`, `==` (only between instances of the same class), `hash`
-of the field tuple, the `Name(field=value, ...)` repr, and refuses to
-assign or delete attributes, as a frozen dataclass does, but without
-generating code when a class is defined.  A record has at least two fields.
+of the field tuple, the `Name(field=value, ...)` repr, `to_dict`, and
+refuses to assign or delete attributes, as a frozen dataclass does, but
+without generating code when a class is defined.  A record has at least two
+fields.  `to_json` turns a record's dict, or any JSON payload, into the
+bytes every JSON output of the package is written as.
 """
 
 from __future__ import annotations
 
+import json
 from operator import attrgetter
+
+
+def to_json(payload: dict) -> str:
+    """Sorted keys, compact separators and a trailing newline."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _plain(value: object) -> object:
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 class Record:
@@ -38,6 +54,10 @@ class Record:
             f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values)
         )
         return f"{self.__class__.__qualname__}({fields})"
+
+    def to_dict(self) -> dict:
+        """The fields by name; a tuple becomes a list, a record its dict."""
+        return dict(zip(self.__match_args__, map(_plain, self._values)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -21,6 +21,7 @@ import json
 import sys
 from itertools import combinations
 
+from ._record import to_json
 from .factors import (
     Factor,
     Factorization,
@@ -43,11 +44,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COST_GUARD = 3
 
-WITNESS_COLORS = ("blue", "red")
-
-
-def _to_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+# Out of the f-strings: before Python 3.12 their expressions cannot hold a `"`.
+DOUBLE_CIRCLE = ' [shape="doublecircle"]'
+WITNESS_STYLES = (' [color="blue"]', ' [color="red"]')
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -64,28 +63,25 @@ def _emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------- rendering
 
 
-def _factor_dot(factor: Factor) -> str:
-    label = "factor" if factor.index is None else f"factor_{factor.index}"
+def _dot(label: str, factors: tuple[Factor, ...], styles: tuple[str, ...]) -> str:
+    """Every vertex, isolated ones doubled, then each factor's edges in its style."""
+    isolated = {f.isolated for f in factors}
     lines = [f"graph {label} {{"]
-    for v in range(factor.n):
-        mark = ' [shape="doublecircle"]' if v == factor.isolated else ""
-        lines.append(f"  {v}{mark};")
-    for u, v in factor.edges:
-        lines.append(f"  {u} -- {v};")
+    for v in range(factors[0].n):
+        lines.append(f"  {v}{DOUBLE_CIRCLE if v in isolated else ''};")
+    for factor, style in zip(factors, styles):
+        lines.extend(f"  {u} -- {v}{style};" for u, v in factor.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _factor_dot(factor: Factor) -> str:
+    label = "factor" if factor.index is None else f"factor_{factor.index}"
+    return _dot(label, (factor,), ("",))
 
 
 def _witness_dot(f: Factor, g: Factor) -> str:
-    lines = [f"graph pair_k{f.index}_l{g.index} {{"]
-    for v in range(f.n):
-        mark = ' [shape="doublecircle"]' if v in (f.isolated, g.isolated) else ""
-        lines.append(f"  {v}{mark};")
-    for factor, color in zip((f, g), WITNESS_COLORS):
-        for u, v in factor.edges:
-            lines.append(f'  {u} -- {v} [color="{color}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(f"pair_k{f.index}_l{g.index}", (f, g), WITNESS_STYLES)
 
 
 def _factor_text(factor: Factor) -> str:
@@ -97,9 +93,10 @@ def _factor_text(factor: Factor) -> str:
 
 
 # ------------------------------------------------------------- subcommands
+# Each returns its output text and exit code; main writes the text.
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: argparse.Namespace) -> tuple[str, int]:
     n = args.n
     if args.even:
         if args.k is None:
@@ -111,16 +108,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
         record = build_modular_factorization(n)
     factors = record.factors if isinstance(record, Factorization) else (record,)
     if args.format == "json":
-        text = _to_json(record.to_dict())
+        text = to_json(record.to_dict())
     elif args.format == "dot":
         text = "".join(map(_factor_dot, factors))
     else:
         text = "".join(map(_factor_text, factors))
-    _emit(text, args.output)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def cmd_pairs(args: argparse.Namespace) -> int:
+def cmd_pairs(args: argparse.Namespace) -> tuple[str, int]:
     n = args.n
     if args.witness:
         if args.k is None or args.l is None:
@@ -129,8 +125,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         g = build_modular_factor(n, args.l)
         outcome = classify_pair(f, g)
         if args.format == "dot":
-            _emit(_witness_dot(f, g), args.output)
-        elif args.format == "json":
+            return _witness_dot(f, g), EXIT_OK
+        if args.format == "json":
             payload = {
                 "n": n,
                 "k": args.k,
@@ -138,11 +134,9 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                 "perfect": outcome.perfect,
                 "walk": outcome.witness.to_dict(),
             }
-            _emit(_to_json(payload), args.output)
-        else:
-            verdict = "perfect" if outcome.perfect else "not perfect"
-            _emit(f"pair (k={args.k}, l={args.l}) of K_{n}: {verdict}\n", args.output)
-        return EXIT_OK
+            return to_json(payload), EXIT_OK
+        verdict = "perfect" if outcome.perfect else "not perfect"
+        return f"pair (k={args.k}, l={args.l}) of K_{n}: {verdict}\n", EXIT_OK
     if args.format == "dot":
         raise ValueError("dot output for pairs needs --witness with --k and --l")
 
@@ -168,42 +162,42 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     if args.matrix:
         payload["matrix"] = verdicts
     if args.format == "json":
-        _emit(_to_json(payload), args.output)
-    else:
-        _emit(
-            f"K_{n}: {count} perfect pairs; formula n*phi(n)/2 = {formula_value}; "
-            f"agree: {payload['agree']}\n",
-            args.output,
-        )
-    return EXIT_OK
+        return to_json(payload), EXIT_OK
+    text = (
+        f"K_{n}: {count} perfect pairs; formula n*phi(n)/2 = {formula_value}; "
+        f"agree: {payload['agree']}\n"
+    )
+    return text, EXIT_OK
 
 
-def cmd_equiv(args: argparse.Namespace) -> int:
+def cmd_equiv(args: argparse.Namespace) -> tuple[str, int]:
     report = build_equivalence_report(args.s, args.t)
+    ok = report.all_edge_sets_equal and report.bounds_equal
+    code = EXIT_OK if ok else EXIT_VALIDATION
+    if args.format == "json":
+        return to_json(report.to_dict()), code
     text = (
         f"K_{report.n} as K_{report.s} x K_{report.t}: "
         f"factors equal: {report.all_edge_sets_equal}; "
         f"bounds {report.direct_bound} vs {report.product_bound}: "
         f"equal: {report.bounds_equal}\n"
     )
-    _emit(_to_json(report.to_dict()) if args.format == "json" else text, args.output)
-    if report.all_edge_sets_equal and report.bounds_equal:
-        return EXIT_OK
-    return EXIT_VALIDATION
+    return text, code
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
     summary = oracle_summary(args.n, expensive=args.expensive)
+    if args.format == "json":
+        return to_json(summary.to_dict()), EXIT_OK
     text = (
         f"K_{summary.n}: exact_c = {summary.exact_c}, "
         f"lower bound n*phi(n)/2 = {summary.lower_bound}, "
         f"factorizations seen = {summary.factorizations_seen}\n"
     )
-    _emit(_to_json(summary.to_dict()) if args.format == "json" else text, args.output)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -226,16 +220,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     if not problems:
         payload["perfect_pairs"] = count_perfect_pairs(fz)
+    code = EXIT_OK if payload["valid"] else EXIT_VALIDATION
     if args.format == "json":
-        _emit(_to_json(payload), args.output)
-    else:
-        status = "valid" if payload["valid"] else "INVALID"
-        lines = [f"factorization of K_{fz.n}: {status}"]
-        lines.extend(f"  problem: {p}" for p in problems)
-        if payload["perfect_pairs"] is not None:
-            lines.append(f"  perfect pairs: {payload['perfect_pairs']}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if payload["valid"] else EXIT_VALIDATION
+        return to_json(payload), code
+    status = "valid" if payload["valid"] else "INVALID"
+    lines = [f"factorization of K_{fz.n}: {status}"]
+    lines.extend(f"  problem: {p}" for p in problems)
+    if payload["perfect_pairs"] is not None:
+        lines.append(f"  perfect pairs: {payload['perfect_pairs']}")
+    return "\n".join(lines) + "\n", code
 
 
 # ------------------------------------------------------------------ driver
@@ -298,13 +291,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.subcommand](args)
+        text, code = COMMANDS[args.subcommand](args)
+        _emit(text, args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CostGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_COST_GUARD
+    return code
 
 
 if __name__ == "__main__":

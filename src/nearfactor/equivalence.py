@@ -54,12 +54,6 @@ class EquivalenceReport(Record):
             failures=failures,
         )
 
-    def to_dict(self) -> dict:
-        data = dict(zip(self.__match_args__, self._values))
-        data["index_map"] = [list(row) for row in self.index_map]
-        data["failures"] = list(self.failures)
-        return data
-
 
 def crt_vertex_map(v: int, s: int, t: int) -> tuple[int, int]:
     """Vertex of K_{st} -> pair vertex: v -> (v % s, v % t); a bijection."""

@@ -123,6 +123,7 @@ class Factor(Record):
         return k
 
     def to_dict(self) -> dict:
+        """The file schema from_dict reads; faster than Record.to_dict on edges."""
         return {
             "n": self.n,
             "index": self.index,

@@ -14,14 +14,13 @@ by degree census plus a connectivity scan.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Iterator
 from io import TextIOBase
 from itertools import combinations
 from operator import lshift, or_
 
-from ._record import Record
+from ._record import Record, to_json
 from .factors import Factor, Factorization
 from .numtheory import totient
 from .pairing import _reached, classify_pair, count_perfect_pairs
@@ -227,14 +226,6 @@ class OracleSummary(Record):
             factorizations_seen=factorizations_seen,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "exact_c": self.exact_c,
-            "lower_bound": self.lower_bound,
-            "factorizations_seen": self.factorizations_seen,
-        }
-
 
 def oracle_summary(n: int, expensive: bool = False) -> OracleSummary:
     """exact_c together with the n*phi(n)/2 lower bound, in one pass.
@@ -310,8 +301,7 @@ def write_factorizations_ndjson(n: int, stream: TextIOBase) -> int:
     """Dump every enumerated factorization as one JSON object per line."""
     count = 0
     for fz in enumerate_factorizations(n):
-        stream.write(json.dumps(fz.to_dict(), sort_keys=True, separators=(",", ":")))
-        stream.write("\n")
+        stream.write(to_json(fz.to_dict()))
         count += 1
     return count
 

@@ -48,14 +48,6 @@ class UnionWalk(Record):
     ) -> None:
         vars(self).update(start=start, vertices=vertices, edges=edges, terminal=terminal)
 
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "vertices": list(self.vertices),
-            "edges": [[a, b] for a, b in self.edges],
-            "terminal": self.terminal,
-        }
-
 
 class PairClassification(Record):
     """Verdict for one pair of factors.

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -337,3 +339,86 @@ def test_output_is_deterministic(capsys):
     third = run(capsys, "construct", "--n", "21")
     fourth = run(capsys, "construct", "--n", "21")
     assert third == fourth
+
+
+FILES = ("good", "bad")
+
+
+def _factorization_file(path, broken):
+    data = build_modular_factorization(5).to_dict()
+    if broken:
+        data["factors"][0]["edges"] = [[1, 4], [2, 4]]
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["pairs", "--n", "9"], 0),
+        (["pairs", "--n", "9", "--format", "text"], 0),
+        (["pairs", "--n", "5", "--witness", "--k", "0", "--l", "1", "--format=dot"], 0),
+        (["pairs", "--n", "5", "--witness", "--k", "0", "--l", "1"], 0),
+        (["equiv", "--s", "3", "--t", "5"], 0),
+        (["equiv", "--s", "3", "--t", "5", "--format", "text"], 0),
+        (["oracle", "--n", "5"], 0),
+        (["oracle", "--n", "5", "--format", "text"], 0),
+        (["verify", "--input", "good"], 0),
+        (["verify", "--input", "bad", "--format", "text"], 2),
+        (["verify", "--input", "bad"], 2),
+    ],
+    ids=lambda value: "-".join(value) if isinstance(value, list) else None,
+)
+def test_output_flag_writes_the_bytes_stdout_gets(tmp_path, capsys, argv, code):
+    files = {name: _factorization_file(tmp_path / name, name == "bad") for name in FILES}
+    argv = [files.get(arg, arg) for arg in argv]
+    to_stdout, out, err = run(capsys, *argv)
+    assert (to_stdout, err) == (code, "") and out
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--output", str(target)) == (code, "", "")
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_equiv_whose_comparison_fails_reports_and_exits_2(monkeypatch, capsys):
+    from nearfactor import EquivalenceReport
+
+    report = EquivalenceReport(3, 5, 15, ((0, 0, 0),), False, 60, 60, True, (4,))
+    monkeypatch.setattr(nearfactor.cli, "build_equivalence_report", lambda s, t: report)
+    code, out, err = run(capsys, "equiv", "--s", "3", "--t", "5")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "s": 3,
+        "t": 5,
+        "n": 15,
+        "index_map": [[0, 0, 0]],
+        "all_edge_sets_equal": False,
+        "direct_bound": 60,
+        "product_bound": 60,
+        "bounds_equal": True,
+        "failures": [4],
+    }
+    code, out, err = run(capsys, "equiv", "--s", "3", "--t", "5", "--format", "text")
+    assert (code, err) == (2, "")
+    assert out == (
+        "K_15 as K_3 x K_5: factors equal: False; bounds 60 vs 60: equal: True\n"
+    )
+
+
+def test_pairs_whose_gcd_cross_check_disagrees_says_so_and_exits_0(monkeypatch, capsys):
+    monkeypatch.setattr(nearfactor.cli, "is_perfect_by_gcd", lambda k, l, n: True)
+    code, out, err = run(capsys, "pairs", "--n", "9")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"agree":false,"formula":"n*phi(n)/2","formula_value":27,"n":9,'
+        '"perfect_pairs":27}\n'
+    )
+
+
+def test_running_the_module_exits_with_the_code_main_returns(monkeypatch, capsys):
+    # runpy runs a fresh copy of the module; one left imported would warn.
+    monkeypatch.delitem(sys.modules, "nearfactor.cli")
+    monkeypatch.setattr(sys, "argv", ["nearfactor", "oracle", "--n", "9"])
+    with pytest.raises(SystemExit) as stopped:
+        runpy.run_module("nearfactor.cli", run_name="__main__")
+    assert stopped.value.code == 3
+    assert capsys.readouterr().err.startswith("refused: ")

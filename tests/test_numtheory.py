@@ -115,3 +115,15 @@ def test_residue_normalization_enforced():
     with pytest.raises(ValueError):
         Residue(0, 0)
     assert int(Residue(3, 7)) == 3
+
+
+def test_moduli_below_the_domain_are_refused():
+    with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+        mod_inverse(0, 1)
+    for s, t in ((0, 5), (3, -1)):
+        with pytest.raises(ValueError, match=rf"moduli must be >= 1, got \({s}, {t}\)"):
+            crt_combine(1, 1, s, t)
+
+
+def test_a_residue_serves_as_an_index():
+    assert "abcdefg"[Residue(3, 7)] == "d"

@@ -225,3 +225,12 @@ def test_count_matches_formula_midrange():
     for n in (15, 21, 33, 45):
         fz = build_modular_factorization(n)
         assert count_perfect_pairs(fz) == n * totient(n) // 2
+
+
+def test_walk_and_gcd_criterion_refuse_orders_outside_odd_n_from_3():
+    even = Factor(4, ((0, 1), (2, 3))), Factor(4, ((0, 2), (1, 3)))
+    with pytest.raises(ValueError, match="odd order only"):
+        union_walk(*even)
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError, match=f"odd n >= 3, got {n}"):
+            is_perfect_by_gcd(0, 1, n)

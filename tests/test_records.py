@@ -8,6 +8,7 @@ class with equal fields, hashes as the tuple of its fields and prints as
 import copy
 import inspect
 import itertools
+import json
 import pickle
 
 import pytest
@@ -254,3 +255,12 @@ def test_pattern_matching_by_position():
             assert (value, modulus) == (2, 5)
         case _:
             pytest.fail("Residue did not match by position")
+
+
+@pytest.mark.parametrize("cls, names, args, stored, text, other", CASES, ids=IDS)
+def test_to_dict_names_the_fields_in_plain_json(cls, names, args, stored, text, other):
+    # A tuple left in, or a nested record not turned into its dict, would
+    # differ from the JSON round trip (or fail to encode).
+    data = cls(*args).to_dict()
+    assert sorted(data) == sorted(names)
+    assert data == json.loads(json.dumps(data))
