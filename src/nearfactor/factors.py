@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import reprlib
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 from ._record import Record
 from .numtheory import Residue, half_mod
@@ -80,8 +80,9 @@ class Factor(Record):
         edges: tuple[Edge, ...],
         isolated: int | None,
         partners: tuple[int | None, ...],
+        index: int | None = None,
     ) -> "Factor":
-        """An unlabelled factor from parts already in canonical form.
+        """A factor from parts already in canonical form.
 
         Skips __init__'s checks and seeds the `partners` cache.  Precondition,
         not checked: `n` is an int >= 3, `edges` is a sorted tuple of
@@ -90,7 +91,7 @@ class Factor(Record):
         """
         f = object.__new__(cls)
         vars(f).update(
-            n=n, edges=edges, isolated=isolated, index=None, partners=partners
+            n=n, edges=edges, isolated=isolated, index=index, partners=partners
         )
         return f
 
@@ -252,12 +253,7 @@ def build_modular_factor(n: int, k: int) -> Factor:
         raise ValueError(f"modular near-one-factor requires odd order, got {n}")
     if not 0 <= k < n:
         raise ValueError(f"factor index {k} not in [0, {n})")
-    edges = []
-    for i in range(n):
-        j = (k - i) % n
-        if i < j:
-            edges.append((i, j))
-    return Factor(n=n, edges=tuple(edges), isolated=half_mod(k, n).value, index=k)
+    return _modular_factor(n, k, half_mod(k, n).value)
 
 
 def build_modular_factor_even(n: int, k: int) -> Factor:
@@ -273,19 +269,24 @@ def build_modular_factor_even(n: int, k: int) -> Factor:
         raise ValueError(f"modular one-factor requires even order >= 4, got {n}")
     if not 0 <= k < n:
         raise ValueError(f"factor index {k} not in [0, {n})")
-    edges = []
-    skip: tuple[int, ...] = ()
-    if k % 2 == 0:
+    return _modular_factor(n, k, None)
+
+
+def _modular_factor(n: int, k: int, isolated: int | None) -> Factor:
+    """Factor k of the modular family of K_n, read off its partner array.
+
+    p[i] = (k - i) % n; its fixed points, the v with 2 * v % n == k, are
+    `isolated` (odd n) or paired with each other (even n, even k).  The
+    edges (i, p[i]) with i < p[i] come out canonical and sorted.
+    """
+    partners: list[int | None] = [*range(k, -1, -1), *range(n - 1, k, -1)]
+    if n % 2 == 0 and k % 2 == 0:
         a, b = k // 2, (n + k) // 2
-        edges.append((a, b))
-        skip = (a, b)
-    for i in range(n):
-        if i in skip:
-            continue
-        j = (k - i) % n
-        if i < j:
-            edges.append((i, j))
-    return Factor(n=n, edges=tuple(edges), isolated=None, index=k)
+        partners[a], partners[b] = b, a
+    edges = tuple([(i, p) for i, p in enumerate(partners) if i < p])
+    if isolated is not None:
+        partners[isolated] = None
+    return Factor._prebuilt(n, edges, isolated, tuple(partners), k)
 
 
 def build_modular_factorization(n: int) -> Factorization:
@@ -306,13 +307,40 @@ def factor_index_of_edge(n: int, e: Edge) -> Residue:
     return Residue((u + v) % n, n)
 
 
+def _valid(fz: Factorization) -> bool:
+    """Whether fz is valid, decided on whole lists; linear in the edge count.
+
+    Each factor has order n, n // 2 edges with distinct endpoints in 0..n-1
+    and its isolated vertex uncovered; the edges are distinct; the isolated
+    vertices are 0..n-1 once each (odd n) or all None (even n).
+    """
+    n = fz.n
+    factors = fz.factors
+    if len(factors) != n - 1 + n % 2:
+        return False
+    half = n // 2
+    for f in factors:
+        ends = set(chain.from_iterable(f.edges))
+        if f.n != n or len(f.edges) != half or len(ends) != 2 * half:
+            return False
+        if min(ends) < 0 or max(ends) >= n or f.isolated in ends:
+            return False
+    if {f.isolated for f in factors} != (set(range(n)) if n % 2 else {None}):
+        return False
+    return len(set(chain.from_iterable(f.edges for f in factors))) == n * (n - 1) // 2
+
+
 def factorization_problems(fz: Factorization) -> list[str]:
     """All partition-level defects of a factorization (empty list = valid).
 
     Checks each factor individually, then edge-disjointness, full coverage
     of E(K_n), and (for odd order) that every vertex is isolated exactly once.
     Even-order input is treated as a one-factorization with n - 1 factors.
+    Validity is decided on whole lists first; only invalid input is
+    diagnosed edge by edge.
     """
+    if _valid(fz):
+        return []
     problems: list[str] = []
     n = fz.n
     expected = n if n % 2 == 1 else n - 1

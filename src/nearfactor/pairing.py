@@ -210,20 +210,21 @@ def _reached(
     Precondition: both arrays are involutions with no fixed point, and f's
     leaves the start uncovered.  The walk can then revisit only the start,
     which f cannot lead back to and g only from g[start], revisited first;
-    so it ends at a missing edge within n steps.
+    so every step reaches a new vertex, and the walk is a Hamiltonian path
+    iff it makes (n - 1) / 2 g-then-f double steps without a missing edge.
     """
-    pf, start = f
+    pf, v = f
     pg = g[0]
-    reached = 1
-    v = pg[start]
-    while v is not None:
-        reached += 1
+    k = len(pf) // 2
+    while k:
+        v = pg[v]
+        if v is None:
+            return False
         v = pf[v]
         if v is None:
-            break
-        reached += 1
-        v = pg[v]
-    return reached == len(pf)
+            return False
+        k -= 1
+    return True
 
 
 def _walk_inputs(

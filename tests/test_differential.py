@@ -9,6 +9,11 @@ of every odd order up to 31, the perfect factorization of K_9 in
 `tests/data/k9_perfect.json` and a sample of the n = 7 oracle stream.  The
 random choices come from stdlib `random` with fixed seeds, so every run
 checks the same cases.
+
+`factorization_problems` decides validity on whole lists and diagnoses edge
+by edge only on failure.  The whole-list check must pass every valid input
+(the ones above, product families and even-order round robins, each also
+relabelled) and fail every corruption, which then gets the per-edge list.
 """
 
 import json
@@ -18,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from nearfactor import factors
 from nearfactor.factors import (
     Factor,
     Factorization,
@@ -27,6 +33,7 @@ from nearfactor.factors import (
 )
 from nearfactor.oracle import enumerate_factorizations, independent_hamiltonicity_check
 from nearfactor.pairing import count_perfect_pairs
+from nearfactor.product import product_factorization
 
 K9_PERFECT = Path(__file__).parent / "data" / "k9_perfect.json"
 SEEDS = (1, 7919, 20261018)
@@ -52,7 +59,7 @@ def _relabelled(fz, perm):
             Factor(
                 f.n,
                 tuple((perm[u], perm[v]) for u, v in f.edges),
-                perm[f.isolated],
+                None if f.isolated is None else perm[f.isolated],
                 f.index,
             )
             for f in fz.factors
@@ -113,3 +120,142 @@ def test_every_one_edge_corruption_is_reported(seed):
         first, second = sorted((pos, other))
         problems = factorization_problems(copied)
         assert f"edge {edges[i]} appears in factors {first} and {second}" in problems, case
+
+
+def _round_robin(n):
+    """The one-factorization GK_n of even-order K_n.
+
+    Factor r joins r with n - 1, and r - i with r + i modulo n - 1.
+    """
+    m = n - 1
+    return Factorization(
+        n,
+        tuple(
+            Factor(n, ((r, m), *(((r - i) % m, (r + i) % m) for i in range(1, n // 2))))
+            for r in range(m)
+        ),
+    )
+
+
+def _valid_inputs(rng):
+    """(name, factorization) for every valid input and a relabelling of each."""
+    named = [(name, fz) for name, fz, _ in _inputs(rng)]
+    for s, t in ((3, 5), (7, 9), (5, 15)):
+        a, b = build_modular_factorization(s), build_modular_factorization(t)
+        named.append((f"product ({s}, {t})", product_factorization(a, b)))
+    k9 = Factorization.from_dict(json.loads(K9_PERFECT.read_text()))
+    k5 = build_modular_factorization(5)
+    named.append(("k9_perfect x modular 5", product_factorization(k9, k5)))
+    named += [(f"round robin {n}", _round_robin(n)) for n in (4, 6, 10, 16)]
+    for name, fz in named:
+        yield name, fz
+        perm = list(range(fz.n))
+        rng.shuffle(perm)
+        yield f"{name} relabelled", _relabelled(fz, perm)
+
+
+def _by_edge(fz):
+    """factorization_problems with the whole-list check off: the per-edge path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factors, "_valid", lambda fz: False)
+        return factorization_problems(fz)
+
+
+def _changed(fz, changes):
+    """fz with the fields of factor q replaced by changes[q], a {field: value}."""
+    fs = list(fz.factors)
+    for q, fields in changes.items():
+        f = fs[q]
+        old = {"n": f.n, "edges": f.edges, "isolated": f.isolated, "index": f.index}
+        fs[q] = Factor(**{**old, **fields})
+    return Factorization(fz.n, tuple(fs))
+
+
+def _corruptions(rng, fz):
+    """(kind, corrupted copy) of each kind that applies to fz."""
+    n, fs = fz.n, fz.factors
+    pos = rng.randrange(len(fs))
+    other = rng.choice([q for q in range(len(fs)) if q != pos])
+    edges = list(fs[pos].edges)
+    i = rng.randrange(len(edges))
+    u, v = rng.sample(edges[i], 2)
+    w = rng.choice([x for x in range(n) if x not in (u, v)])
+    rest = edges[:i] + edges[i + 1 :]
+    yield "moved endpoint", _changed(fz, {pos: {"edges": rest + [(u, w)]}})
+    yield "endpoint out of range", _changed(fz, {pos: {"edges": rest + [(u, n)]}})
+    yield "dropped edge", _changed(fz, {pos: {"edges": rest}})
+    yield "copied edge", _changed(fz, {other: {"edges": fs[other].edges + (edges[i],)}})
+    if rest:
+        # Still a (near-)one-factor, but both new edges belong to other factors.
+        (a, b), (c, d) = edges[i], rest.pop(rng.randrange(len(rest)))
+        yield "re-paired edges", _changed(fz, {pos: {"edges": rest + [(a, c), (b, d)]}})
+    # u's edges in two factors trade places: the same edge set, two double covers.
+    q = rng.choice([q for q in range(len(fs)) if q != pos and fs[q].partners[u] is not None])
+    theirs = make_edge(u, fs[q].partners[u])
+    mine = [e for e in fs[q].edges if e != theirs] + [edges[i]]
+    swapped = {pos: {"edges": edges[:i] + [theirs] + edges[i + 1 :]}, q: {"edges": mine}}
+    yield "swapped edges", _changed(fz, swapped)
+    yield "wrong order", _changed(fz, {pos: {"n": n + 2}})
+    yield "missing factor", Factorization(n, fs[:pos] + fs[pos + 1 :])
+    yield "isolated out of range", _changed(fz, {pos: {"isolated": rng.choice([-1, n])}})
+    if n % 2:
+        mine, theirs = fs[pos].isolated, fs[other].isolated
+        yield "repeated isolated", _changed(fz, {pos: {"isolated": theirs}})
+        yield "no isolated vertex", _changed(fz, {pos: {"isolated": None}})
+        swapped = {pos: {"isolated": theirs}, other: {"isolated": mine}}
+        yield "swapped isolated", _changed(fz, swapped)
+    else:
+        yield "isolated at even order", _changed(fz, {pos: {"isolated": rng.randrange(n)}})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_whole_list_check_agrees_with_the_per_edge_path(seed):
+    """Valid inputs pass on whole lists; every corruption gets the per-edge list."""
+    rng = random.Random(seed)
+    kinds = set()
+    for name, fz in _valid_inputs(rng):
+        assert factors._valid(fz), name
+        assert factorization_problems(fz) == [] == _by_edge(fz), name
+        for kind, bad in _corruptions(rng, fz):
+            expected = _by_edge(bad)
+            assert expected, (name, kind)
+            assert not factors._valid(bad), (name, kind)
+            assert factorization_problems(bad) == expected, (name, kind)
+            kinds.add(kind)
+    assert len(kinds) == 13
+
+
+_K5 = build_modular_factorization(5).factors
+_GK4 = _round_robin(4).factors
+
+
+@pytest.mark.parametrize(
+    "fz, problems",
+    [
+        (
+            Factorization(5, _K5[1:]),
+            [
+                "expected 5 factors for order 5, found 4",
+                "2 edges of the complete graph are missing",
+            ],
+        ),
+        (
+            Factorization(5, (_K5[0], Factor(5, _K5[1].edges, 0, 1), *_K5[2:])),
+            [
+                "factor 1 invalid: isolated vertex 0 is covered by an edge",
+                "vertex 0 is isolated in 2 factors, expected 1",
+                "vertex 3 is isolated in 0 factors, expected 1",
+            ],
+        ),
+        (
+            Factorization(5, (_K5[0], Factor(7, _K5[1].edges, 3, 1), *_K5[2:])),
+            ["factor 1 has order 7, expected 5"],
+        ),
+        (
+            Factorization(4, (_GK4[0], Factor(4, _GK4[1].edges, 0), _GK4[2])),
+            ["factor 1 invalid: even order admits no isolated vertex"],
+        ),
+    ],
+)
+def test_invalid_input_keeps_its_messages(fz, problems):
+    assert factorization_problems(fz) == problems

@@ -75,6 +75,31 @@ def test_build_modular_factor_even_rejects_odd_order():
         build_modular_factor_even(6, 6)
 
 
+def _modular_by_edges(n, k):
+    """Factor k built through Factor(...) from every edge {i, j} with i + j = k."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % n == k]
+    if n % 2:
+        return Factor(n, tuple(edges), next(v for v in range(n) if 2 * v % n == k), k)
+    if k % 2 == 0:
+        edges.append((k // 2, (n + k) // 2))  # the two solutions of 2 * v = k
+    return Factor(n, tuple(edges), None, k)
+
+
+@pytest.mark.parametrize(
+    "n, build",
+    [(n, build_modular_factor) for n in range(3, 42, 2)]
+    + [(n, build_modular_factor_even) for n in range(4, 25, 2)],
+)
+def test_builders_give_the_factor_built_from_its_edges(n, build):
+    for k in range(n):
+        f, ref = build(n, k), _modular_by_edges(n, k)
+        assert f == ref and hash(f) == hash(ref), (n, k)
+        assert repr(f) == repr(ref) and f.to_dict() == ref.to_dict(), (n, k)
+        assert f.modular_index == ref.modular_index, (n, k)
+        assert f.modular_index == (k if n % 2 or k % 2 else None), (n, k)
+        assert vars(f)["partners"] == ref.partners, (n, k)
+
+
 def test_modular_factorization_k3():
     fz = build_modular_factorization(3)
     assert fz.n == 3

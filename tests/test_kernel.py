@@ -5,9 +5,11 @@ over all pairs, or raise the error of the first failing pair, on any
 factors, well-formed or not, and must build no witness when it walks.
 """
 
+import json
 import random
 import tracemalloc
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,9 @@ from nearfactor.factors import (
 )
 from nearfactor.oracle import enumerate_factorizations, independent_hamiltonicity_check
 from nearfactor.pairing import classify_pair, count_perfect_pairs
+from nearfactor.product import product_factorization
+
+K9_PERFECT = Path(__file__).parent / "data" / "k9_perfect.json"
 
 
 def _matching(rng: random.Random, n: int) -> tuple[list[tuple[int, int]], int | None]:
@@ -225,3 +230,24 @@ def test_factor_count_mismatch_allocates_no_vertex_census():
         f"{n * (n - 1) // 2} edges of the complete graph are missing",
     ]
     assert peak < 1_000_000
+
+
+def _kernel_cases():
+    """Every modular family of odd order up to 61, three products, the K_9 witness."""
+    for n in range(3, 62, 2):
+        yield f"modular {n}", build_modular_factorization(n)
+    for s, t in ((7, 9), (5, 15), (3, 5)):
+        a, b = build_modular_factorization(s), build_modular_factorization(t)
+        yield f"product ({s}, {t})", product_factorization(a, b)
+    yield "k9_perfect", Factorization.from_dict(json.loads(K9_PERFECT.read_text()))
+
+
+def test_kernel_matches_classify_pair_on_whole_families():
+    """The countdown walk decides every ordered pair as the witness walk does."""
+    for name, fz in _kernel_cases():
+        inputs = pairing._walk_inputs(fz)
+        assert inputs is not None, name
+        walks = dict(zip(fz.factors, inputs))
+        for f, g in permutations(fz.factors, 2):
+            perfect = classify_pair(f, g).perfect
+            assert pairing._reached(walks[f], walks[g]) == perfect, (name, f, g)
