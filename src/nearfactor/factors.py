@@ -75,23 +75,23 @@ class Factor(Record):
 
     @classmethod
     def _prebuilt(
-        cls,
-        n: int,
-        edges: tuple[Edge, ...],
-        isolated: int | None,
-        partners: tuple[int | None, ...],
-        index: int | None = None,
+        cls, n: int, mate: list[int], isolated: int | None, index: int | None = None
     ) -> "Factor":
-        """A factor from parts already in canonical form.
+        """The factor read off its partner array, which it takes over.
 
-        Skips __init__'s checks and seeds the `partners` cache.  Precondition,
-        not checked: `n` is an int >= 3, `edges` is a sorted tuple of
-        (min, max) int pairs, and `partners` is exactly the partner tuple
-        that `Factor.partners` would build from them.
+        mate[i] is i's partner and mate[isolated] == isolated; the edges
+        (i, mate[i]) with i < mate[i] come out canonical and sorted, and
+        `partners` is seeded with mate once mate[isolated] is None.  Skips
+        __init__'s checks.  Precondition, not checked: `n` is an int >= 3
+        and mate a list of ints on 0..n-1 with mate[mate[i]] == i, fixed at
+        `isolated` alone (at no vertex when `isolated` is None).
         """
+        edges = tuple([(i, p) for i, p in enumerate(mate) if i < p])
+        if isolated is not None:
+            mate[isolated] = None
         f = object.__new__(cls)
         vars(f).update(
-            n=n, edges=edges, isolated=isolated, index=index, partners=partners
+            n=n, edges=edges, isolated=isolated, index=index, partners=tuple(mate)
         )
         return f
 
@@ -199,14 +199,29 @@ class FactorVerdict(Record):
         return self.valid
 
 
+_VALID = FactorVerdict(True)
+
+
 def validate_factor(f: Factor) -> FactorVerdict:
     """Check the (near-)one-factor invariants, naming the first violated one.
 
     Odd order: every vertex except the isolated one is covered exactly once.
     Even order: no isolated vertex, every vertex covered exactly once.
     Memory is linear in the number of edges, not in the order: the reason
-    names at most ten uncovered vertices and counts the rest.
+    names at most ten uncovered vertices and counts the rest.  Validity is
+    decided on whole lists first; only an invalid factor is diagnosed edge
+    by edge.
     """
+    n, iso = f.n, f.isolated
+    ends = set(chain.from_iterable(f.edges))
+    if (
+        len(f.edges) == n // 2
+        and len(ends) == n - n % 2
+        and min(ends) >= 0
+        and max(ends) < n
+        and (iso is None if n % 2 == 0 else iso in range(n) and iso not in ends)
+    ):
+        return _VALID
     covered: set[int] = set()
     for u, v in f.edges:
         for w in (u, v):
@@ -229,15 +244,14 @@ def validate_factor(f: Factor) -> FactorVerdict:
             )
     elif f.isolated is not None:
         return FactorVerdict(False, "even order admits no isolated vertex")
-    # Every vertex is now covered, isolated (odd order only) or uncovered.
+    # Every vertex is now covered, isolated (odd order only) or uncovered,
+    # and as the whole-list check failed, some vertex is uncovered.
     missing = f.n - len(covered) - f.n % 2
-    if missing:
-        uncovered = (w for w in range(f.n) if w not in covered and w != f.isolated)
-        named = set(islice(uncovered, _NAMED_UNCOVERED))
-        rest = missing - len(named)
-        more = f" and {rest} more" if rest else ""
-        return FactorVerdict(False, f"vertices {named}{more} uncovered")
-    return FactorVerdict(True)
+    uncovered = (w for w in range(f.n) if w not in covered and w != f.isolated)
+    named = set(islice(uncovered, _NAMED_UNCOVERED))
+    rest = missing - len(named)
+    more = f" and {rest} more" if rest else ""
+    return FactorVerdict(False, f"vertices {named}{more} uncovered")
 
 
 def build_modular_factor(n: int, k: int) -> Factor:
@@ -276,17 +290,13 @@ def _modular_factor(n: int, k: int, isolated: int | None) -> Factor:
     """Factor k of the modular family of K_n, read off its partner array.
 
     p[i] = (k - i) % n; its fixed points, the v with 2 * v % n == k, are
-    `isolated` (odd n) or paired with each other (even n, even k).  The
-    edges (i, p[i]) with i < p[i] come out canonical and sorted.
+    `isolated` (odd n) or paired with each other (even n, even k).
     """
-    partners: list[int | None] = [*range(k, -1, -1), *range(n - 1, k, -1)]
+    partners = [*range(k, -1, -1), *range(n - 1, k, -1)]
     if n % 2 == 0 and k % 2 == 0:
         a, b = k // 2, (n + k) // 2
         partners[a], partners[b] = b, a
-    edges = tuple([(i, p) for i, p in enumerate(partners) if i < p])
-    if isolated is not None:
-        partners[isolated] = None
-    return Factor._prebuilt(n, edges, isolated, tuple(partners), k)
+    return Factor._prebuilt(n, partners, isolated, k)
 
 
 def build_modular_factorization(n: int) -> Factorization:
@@ -307,40 +317,13 @@ def factor_index_of_edge(n: int, e: Edge) -> Residue:
     return Residue((u + v) % n, n)
 
 
-def _valid(fz: Factorization) -> bool:
-    """Whether fz is valid, decided on whole lists; linear in the edge count.
-
-    Each factor has order n, n // 2 edges with distinct endpoints in 0..n-1
-    and its isolated vertex uncovered; the edges are distinct; the isolated
-    vertices are 0..n-1 once each (odd n) or all None (even n).
-    """
-    n = fz.n
-    factors = fz.factors
-    if len(factors) != n - 1 + n % 2:
-        return False
-    half = n // 2
-    for f in factors:
-        ends = set(chain.from_iterable(f.edges))
-        if f.n != n or len(f.edges) != half or len(ends) != 2 * half:
-            return False
-        if min(ends) < 0 or max(ends) >= n or f.isolated in ends:
-            return False
-    if {f.isolated for f in factors} != (set(range(n)) if n % 2 else {None}):
-        return False
-    return len(set(chain.from_iterable(f.edges for f in factors))) == n * (n - 1) // 2
-
-
 def factorization_problems(fz: Factorization) -> list[str]:
     """All partition-level defects of a factorization (empty list = valid).
 
     Checks each factor individually, then edge-disjointness, full coverage
     of E(K_n), and (for odd order) that every vertex is isolated exactly once.
     Even-order input is treated as a one-factorization with n - 1 factors.
-    Validity is decided on whole lists first; only invalid input is
-    diagnosed edge by edge.
     """
-    if _valid(fz):
-        return []
     problems: list[str] = []
     n = fz.n
     expected = n if n % 2 == 1 else n - 1
@@ -359,27 +342,28 @@ def factorization_problems(fz: Factorization) -> list[str]:
             problems.append(f"factor {pos} invalid: {verdict.reason}")
     if not orders_ok:
         return problems
-    seen: dict[Edge, int] = {}
-    duplicates = False
-    for pos, f in enumerate(fz.factors):
-        for e in f.edges:
-            if e in seen:
-                problems.append(f"edge {e} appears in factors {seen[e]} and {pos}")
-                duplicates = True
-            else:
-                seen[e] = pos
+    distinct = set(chain.from_iterable(f.edges for f in fz.factors))
     full = n * (n - 1) // 2
-    if not duplicates and len(seen) < full:
-        problems.append(f"{full - len(seen)} edges of the complete graph are missing")
+    if len(distinct) < sum(len(f.edges) for f in fz.factors):
+        seen: dict[Edge, int] = {}
+        for pos, f in enumerate(fz.factors):
+            for e in f.edges:
+                if e in seen:
+                    problems.append(f"edge {e} appears in factors {seen[e]} and {pos}")
+                else:
+                    seen[e] = pos
+    elif len(distinct) < full:
+        problems.append(f"{full - len(distinct)} edges of the complete graph are missing")
     # The isolation census is O(n) in the declared order and reports only
     # when the factor count is right; skipping it otherwise keeps a tiny file
     # that declares a huge n from allocating memory linear in that n.
     if n % 2 == 1 and len(fz.factors) == expected:
-        iso_count = [0] * n
-        for f in fz.factors:
-            if f.isolated is not None and 0 <= f.isolated < n:
-                iso_count[f.isolated] += 1
-        for v, c in enumerate(iso_count):
-            if c != 1:
-                problems.append(f"vertex {v} is isolated in {c} factors, expected 1")
+        if {f.isolated for f in fz.factors} != set(range(n)):
+            iso_count = [0] * n
+            for f in fz.factors:
+                if f.isolated is not None and 0 <= f.isolated < n:
+                    iso_count[f.isolated] += 1
+            for v, c in enumerate(iso_count):
+                if c != 1:
+                    problems.append(f"vertex {v} is isolated in {c} factors, expected 1")
     return problems

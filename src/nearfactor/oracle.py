@@ -136,22 +136,24 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
 
     def build(mask: int) -> int:
         edges = [e for e, mark in zip(edge_list, marks) if mask & mark]
-        partners: list[int | None] = [None] * n
+        mate = list(range(n))
         for u, v in edges:
-            partners[u] = v
-            partners[v] = u
-        # _reached ends only on well-formed arrays; a double cover leaves two Nones.
-        if len(edges) != n // 2 or partners.count(None) != 1:
+            mate[u] = v
+            mate[v] = u
+        # _reached needs a well-formed array; a double cover leaves two fixed points.
+        fixed = [v for v in range(n) if mate[v] == v]
+        if len(edges) != n // 2 or len(fixed) != 1:
             raise RuntimeError(f"the search built a malformed factor: {edges}")
-        c = partners.index(None)
-        walk = (tuple(partners), c)
+        c = fixed[0]
+        f = Factor._prebuilt(n, mate, c)
+        walk = (f.partners, c)
         b = len(made)
         mine = 0
         for other, a in built.items():
             if not other & mask and walks[a][1] != c and _reached(walks[a], walk):
                 mine |= 1 << a
                 perfect[a] |= 1 << b
-        made.append(Factor._prebuilt(n, tuple(edges), c, walk[0]))
+        made.append(f)
         walks.append(walk)
         perfect.append(mine)
         built[mask] = b

@@ -53,14 +53,11 @@ class ProductFactor(Record):
 
     def flattened(self) -> Factor:
         """The same factor on K_{s*t} under the positional vertex encoding."""
-        edges = []
-        for a, b in self.edges:
-            fa, fb = self.flatten_vertex(a), self.flatten_vertex(b)
-            edges.append((fa, fb) if fa < fb else (fb, fa))
+        flat = self.flatten_vertex
         return Factor(
             n=self.s * self.t,
-            edges=tuple(edges),
-            isolated=self.flatten_vertex(self.isolated),
+            edges=tuple((flat(a), flat(b)) for a, b in self.edges),
+            isolated=flat(self.isolated),
             index=None,
         )
 
@@ -119,12 +116,8 @@ def product_factorization(a: Factorization, b: Factorization) -> Factorization:
     factors = []
     for f, fh in zip(a.factors, hats[0]):
         for g, gh in zip(b.factors, hats[1]):
-            partner: list[int | None] = _partner_product(fh, gh, t)
-            # Flattening is monotone in (i, j), so these edges are already sorted.
-            edges = tuple((x, y) for x, y in enumerate(partner) if x < y)
-            iso = f.isolated * t + g.isolated
-            partner[iso] = None
-            factors.append(Factor._prebuilt(a.n * t, edges, iso, tuple(partner)))
+            mate = _partner_product(fh, gh, t)
+            factors.append(Factor._prebuilt(a.n * t, mate, f.isolated * t + g.isolated))
     return Factorization(n=a.n * t, factors=tuple(factors))
 
 

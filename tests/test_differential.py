@@ -10,26 +10,29 @@ of every odd order up to 31, the perfect factorization of K_9 in
 random choices come from stdlib `random` with fixed seeds, so every run
 checks the same cases.
 
-`factorization_problems` decides validity on whole lists and diagnoses edge
-by edge only on failure.  The whole-list check must pass every valid input
-(the ones above, product families and even-order round robins, each also
-relabelled) and fail every corruption, which then gets the per-edge list.
+`validate_factor` decides validity on whole lists and diagnoses edge by
+edge only on failure, and `factorization_problems` scans edges and isolated
+vertices one by one only when their sets show a defect.  On every valid
+input (the ones above, product families and even-order round robins, each
+also relabelled) and every corruption, both must give exactly what a frozen
+copy of the all-per-edge diagnosis (`_reference_problems`) gives.
 """
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 
-from nearfactor import factors
 from nearfactor.factors import (
     Factor,
     Factorization,
+    FactorVerdict,
     build_modular_factorization,
     factorization_problems,
     make_edge,
+    validate_factor,
 )
 from nearfactor.oracle import enumerate_factorizations, independent_hamiltonicity_check
 from nearfactor.pairing import count_perfect_pairs
@@ -154,11 +157,87 @@ def _valid_inputs(rng):
         yield f"{name} relabelled", _relabelled(fz, perm)
 
 
-def _by_edge(fz):
-    """factorization_problems with the whole-list check off: the per-edge path."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(factors, "_valid", lambda fz: False)
-        return factorization_problems(fz)
+def _reference_reason(f):
+    """Frozen per-edge diagnosis of one factor: its first defect, or None."""
+    covered = set()
+    for u, v in f.edges:
+        for w in (u, v):
+            if not 0 <= w < f.n:
+                return f"vertex {w} out of range for order {f.n}"
+        for w in (u, v):
+            if w in covered:
+                return f"vertex {w} covered twice"
+            covered.add(w)
+    if f.n % 2 == 1:
+        if f.isolated is None:
+            return "odd order requires an isolated vertex"
+        if not 0 <= f.isolated < f.n:
+            return f"isolated vertex {f.isolated} out of range for order {f.n}"
+        if f.isolated in covered:
+            return f"isolated vertex {f.isolated} is covered by an edge"
+    elif f.isolated is not None:
+        return "even order admits no isolated vertex"
+    missing = f.n - len(covered) - f.n % 2
+    if missing:
+        uncovered = (w for w in range(f.n) if w not in covered and w != f.isolated)
+        named = set(islice(uncovered, 10))
+        rest = missing - len(named)
+        more = f" and {rest} more" if rest else ""
+        return f"vertices {named}{more} uncovered"
+    return None
+
+
+def _reference_problems(fz):
+    """Frozen per-edge diagnosis of a factorization: every defect, in order."""
+    problems = []
+    n = fz.n
+    expected = n if n % 2 == 1 else n - 1
+    if len(fz.factors) != expected:
+        problems.append(
+            f"expected {expected} factors for order {n}, found {len(fz.factors)}"
+        )
+    orders_ok = True
+    for pos, f in enumerate(fz.factors):
+        if f.n != n:
+            problems.append(f"factor {pos} has order {f.n}, expected {n}")
+            orders_ok = False
+            continue
+        reason = _reference_reason(f)
+        if reason is not None:
+            problems.append(f"factor {pos} invalid: {reason}")
+    if not orders_ok:
+        return problems
+    seen = {}
+    duplicates = False
+    for pos, f in enumerate(fz.factors):
+        for e in f.edges:
+            if e in seen:
+                problems.append(f"edge {e} appears in factors {seen[e]} and {pos}")
+                duplicates = True
+            else:
+                seen[e] = pos
+    full = n * (n - 1) // 2
+    if not duplicates and len(seen) < full:
+        problems.append(f"{full - len(seen)} edges of the complete graph are missing")
+    if n % 2 == 1 and len(fz.factors) == expected:
+        iso_count = [0] * n
+        for f in fz.factors:
+            if f.isolated is not None and 0 <= f.isolated < n:
+                iso_count[f.isolated] += 1
+        for v, c in enumerate(iso_count):
+            if c != 1:
+                problems.append(f"vertex {v} is isolated in {c} factors, expected 1")
+    return problems
+
+
+def _agrees_with_reference(fz, case):
+    """Both checks give the frozen per-edge results on fz; returns its problems."""
+    for pos, f in enumerate(fz.factors):
+        reason = _reference_reason(f)
+        assert validate_factor(f) == FactorVerdict(reason is None, reason), (case, pos)
+    problems = factorization_problems(fz)
+    assert problems == _reference_problems(fz), case
+    return problems
 
 
 def _changed(fz, changes):
@@ -182,7 +261,8 @@ def _corruptions(rng, fz):
     w = rng.choice([x for x in range(n) if x not in (u, v)])
     rest = edges[:i] + edges[i + 1 :]
     yield "moved endpoint", _changed(fz, {pos: {"edges": rest + [(u, w)]}})
-    yield "endpoint out of range", _changed(fz, {pos: {"edges": rest + [(u, n)]}})
+    for x in (-1, n):
+        yield "endpoint out of range", _changed(fz, {pos: {"edges": rest + [(u, x)]}})
     yield "dropped edge", _changed(fz, {pos: {"edges": rest}})
     yield "copied edge", _changed(fz, {other: {"edges": fs[other].edges + (edges[i],)}})
     if rest:
@@ -210,17 +290,13 @@ def _corruptions(rng, fz):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_whole_list_check_agrees_with_the_per_edge_path(seed):
-    """Valid inputs pass on whole lists; every corruption gets the per-edge list."""
+    """Valid inputs and every corruption get the frozen per-edge results."""
     rng = random.Random(seed)
     kinds = set()
     for name, fz in _valid_inputs(rng):
-        assert factors._valid(fz), name
-        assert factorization_problems(fz) == [] == _by_edge(fz), name
+        assert _agrees_with_reference(fz, name) == [], name
         for kind, bad in _corruptions(rng, fz):
-            expected = _by_edge(bad)
-            assert expected, (name, kind)
-            assert not factors._valid(bad), (name, kind)
-            assert factorization_problems(bad) == expected, (name, kind)
+            assert _agrees_with_reference(bad, (name, kind)), (name, kind)
             kinds.add(kind)
     assert len(kinds) == 13
 

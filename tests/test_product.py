@@ -7,6 +7,7 @@ import pytest
 
 from nearfactor import product
 from nearfactor.factors import (
+    Factor,
     Factorization,
     build_modular_factor_even,
     build_modular_factorization,
@@ -185,6 +186,17 @@ def test_product_factorization_of_modular_families(s, t):
     for got, want in zip(fz.factors, expected):
         assert got == want
         assert got.partners == want.partners
+
+
+def test_product_factors_equal_their_rebuild_from_edges():
+    """Non-modular input too: each factor is the Factor its edges describe."""
+    k9 = Factorization.from_dict(json.loads(K9_PERFECT.read_text()))
+    stream = enumerate_factorizations(5)
+    for a, b in ((k9, build_modular_factorization(5)), (next(stream), next(stream))):
+        for f in product_factorization(a, b).factors:
+            ref = Factor(f.n, f.edges, f.isolated, f.index)
+            assert f == ref and hash(f) == hash(ref) and f.to_dict() == ref.to_dict()
+            assert vars(f)["partners"] == ref.partners
 
 
 def test_product_factorization_rejects_invalid_and_even_input():
