@@ -75,9 +75,9 @@ class Factor(Record):
 
     @classmethod
     def _prebuilt(
-        cls, n: int, mate: list[int], isolated: int | None, index: int | None = None
+        cls, n: int, mate: list[int | None], isolated: int | None, index: int | None = None
     ) -> "Factor":
-        """The factor read off its partner array, which it takes over.
+        """The factor read off its partner array, which it takes over and edits.
 
         mate[i] is i's partner and mate[isolated] == isolated; the edges
         (i, mate[i]) with i < mate[i] come out canonical and sorted, and
@@ -199,9 +199,6 @@ class FactorVerdict(Record):
         return self.valid
 
 
-_VALID = FactorVerdict(True)
-
-
 def validate_factor(f: Factor) -> FactorVerdict:
     """Check the (near-)one-factor invariants, naming the first violated one.
 
@@ -221,7 +218,7 @@ def validate_factor(f: Factor) -> FactorVerdict:
         and max(ends) < n
         and (iso is None if n % 2 == 0 else iso in range(n) and iso not in ends)
     ):
-        return _VALID
+        return FactorVerdict(True)
     covered: set[int] = set()
     for u, v in f.edges:
         for w in (u, v):
@@ -292,7 +289,7 @@ def _modular_factor(n: int, k: int, isolated: int | None) -> Factor:
     p[i] = (k - i) % n; its fixed points, the v with 2 * v % n == k, are
     `isolated` (odd n) or paired with each other (even n, even k).
     """
-    partners = [*range(k, -1, -1), *range(n - 1, k, -1)]
+    partners: list[int | None] = [*range(k, -1, -1), *range(n - 1, k, -1)]
     if n % 2 == 0 and k % 2 == 0:
         a, b = k // 2, (n + k) // 2
         partners[a], partners[b] = b, a
@@ -358,12 +355,11 @@ def factorization_problems(fz: Factorization) -> list[str]:
     # when the factor count is right; skipping it otherwise keeps a tiny file
     # that declares a huge n from allocating memory linear in that n.
     if n % 2 == 1 and len(fz.factors) == expected:
-        if {f.isolated for f in fz.factors} != set(range(n)):
-            iso_count = [0] * n
-            for f in fz.factors:
-                if f.isolated is not None and 0 <= f.isolated < n:
-                    iso_count[f.isolated] += 1
-            for v, c in enumerate(iso_count):
-                if c != 1:
-                    problems.append(f"vertex {v} is isolated in {c} factors, expected 1")
+        iso_count = [0] * n
+        for f in fz.factors:
+            if f.isolated is not None and 0 <= f.isolated < n:
+                iso_count[f.isolated] += 1
+        for v, c in enumerate(iso_count):
+            if c != 1:
+                problems.append(f"vertex {v} is isolated in {c} factors, expected 1")
     return problems

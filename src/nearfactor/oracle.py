@@ -136,7 +136,7 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
 
     def build(mask: int) -> int:
         edges = [e for e, mark in zip(edge_list, marks) if mask & mark]
-        mate = list(range(n))
+        mate: list[int | None] = list(range(n))
         for u, v in edges:
             mate[u] = v
             mate[v] = u

@@ -11,8 +11,8 @@ random choices come from stdlib `random` with fixed seeds, so every run
 checks the same cases.
 
 `validate_factor` decides validity on whole lists and diagnoses edge by
-edge only on failure, and `factorization_problems` scans edges and isolated
-vertices one by one only when their sets show a defect.  On every valid
+edge only on failure, and `factorization_problems` scans edges one by one
+only when their set shows a duplicate.  On every valid
 input (the ones above, product families and even-order round robins, each
 also relabelled) and every corruption, both must give exactly what a frozen
 copy of the all-per-edge diagnosis (`_reference_problems`) gives.
