@@ -17,6 +17,7 @@ All output is deterministic: canonical edge order, sorted JSON keys.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from itertools import combinations
@@ -43,6 +44,10 @@ from .equivalence import build_equivalence_report
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_COST_GUARD = 3
+
+# The most bytes `verify` reads; the modular family's JSON is 1.22 MB at
+# n = 501 and grows about as n^2.
+MAX_INPUT_BYTES = 16 * 1024 * 1024
 
 # Out of the f-strings: before Python 3.12 their expressions cannot hold a `"`.
 DOUBLE_CIRCLE = ' [shape="doublecircle"]'
@@ -199,10 +204,19 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(args.input, "rb") as handle:
+            # In chunks: one read of the cap would allocate the whole cap.
+            raw = bytearray()
+            while chunk := handle.read(min(1 << 16, MAX_INPUT_BYTES + 1 - len(raw))):
+                raw += chunk
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
+    if len(raw) > MAX_INPUT_BYTES:
+        raise ValueError(f"{args.input} is larger than {MAX_INPUT_BYTES} bytes")
+    # Decoded in one go, as a text-mode read() decodes a whole file.
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    try:
+        data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON in {args.input}: {exc}") from None
     try:

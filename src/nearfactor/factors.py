@@ -172,7 +172,7 @@ class Factorization(Record):
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild from the fields alone, so a copy
-        # leaves behind the run attachment enumerate_factorizations sets.
+        # leaves behind the perfect-pair count enumerate_factorizations sets.
         return (self.__class__, (self.n, self.factors))
 
     def to_dict(self) -> dict:

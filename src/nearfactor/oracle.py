@@ -108,11 +108,10 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     creation index).  Building slot b walks it against every earlier slot a
     with no edge in common and another isolated vertex, the only factors it
     can share a factorization with, and marks a perfect pair in both slots'
-    masks: bit a of `perfect[b]` and bit b of `perfect[a]`.  Every
-    factorization carries the slots of its factors and its run's `perfect`
-    list, which no other call shares and which holds every verdict of its
-    pairs before it is yielded, so count_perfect_pairs counts it without a
-    walk.
+    masks: bit a of `perfect[b]` and bit b of `perfect[a]`.  Each yielded
+    factorization carries only its perfect-pair count, read off the masks
+    of its factors' slots, which count_perfect_pairs returns without a
+    walk; slots and masks live only as long as the call.
     """
     n = _check_enumerable(n)
     full = (1 << n) - 1
@@ -204,9 +203,13 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
                     slots = tuple(map(slot_of, masks))
                 except KeyError:
                     slots = tuple([built[k] if k in built else build(k) for k in masks])
+                count = earlier = 0  # earlier: the slots of the factors before this one
+                for a in slots:
+                    count += (perfect[a] & earlier).bit_count()
+                    earlier |= 1 << a
                 fz = new(Factorization)
                 factors = tuple(map(made.__getitem__, slots))
-                vars(fz).update(n=n, factors=factors, _run=(slots, perfect))
+                vars(fz).update(n=n, factors=factors, _perfect_pairs=count)
                 yield fz
 
 

@@ -271,17 +271,12 @@ def count_perfect_pairs(fz: Factorization) -> int:
 
     Counts with the witness-free walk; classify_pair and union_walk give
     the verdict of one pair together with its path or cycle.  A
-    factorization from enumerate_factorizations is counted from the
-    verdicts its run decided when it built each factor, with no walk; any
-    other is the sum of `_pair_verdicts`, which checks the preconditions of
-    the walk once and otherwise classifies pair by pair.
+    factorization from enumerate_factorizations carries the count its run
+    took from the verdicts it decided when it built each factor; any other
+    is the sum of `_pair_verdicts`, which checks the preconditions of the
+    walk once and otherwise classifies pair by pair.
     """
-    run = vars(fz).get("_run")  # (slots, perfect), set by the oracle
-    if run is None:
+    count = vars(fz).get("_perfect_pairs")  # set by enumerate_factorizations
+    if count is None:
         return sum(_pair_verdicts(fz))
-    slots, perfect = run
-    count = earlier = 0  # earlier: the slots of the factors before this one
-    for a in slots:
-        count += (perfect[a] & earlier).bit_count()
-        earlier |= 1 << a
     return count

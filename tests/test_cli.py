@@ -1,3 +1,4 @@
+import io
 import json
 import runpy
 import sys
@@ -311,6 +312,71 @@ def test_verify_reports_a_huge_declared_order_in_bounded_memory(tmp_path, capsys
         f"factor 0 invalid: vertices {{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}} and {n - 11} more uncovered"
     )
     assert peak < 1_000_000
+
+
+def test_verify_refuses_an_input_over_the_cap(tmp_path, capsys, monkeypatch):
+    text = json.dumps(build_modular_factorization(5).to_dict())
+    monkeypatch.setattr(nearfactor.cli, "MAX_INPUT_BYTES", len(text))
+    path = tmp_path / "at_cap.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["perfect_pairs"] == 10
+    path.write_text(text + " ")
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is larger than {len(text)} bytes\n"
+
+
+def test_verify_reads_at_most_one_byte_past_the_cap(capsys, monkeypatch):
+    """An input far larger than the cap is read only to the cap plus one byte."""
+    reads = []
+
+    class Recorded(io.BytesIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            reads.append(len(data))
+            return data
+
+    monkeypatch.setattr(nearfactor.cli, "MAX_INPUT_BYTES", 100)
+    monkeypatch.setattr(
+        nearfactor.cli, "open", lambda *args: Recorded(b" " * 100_000), raising=False
+    )
+    code, out, err = run(capsys, "verify", "--input", "big.json")
+    assert (code, out, err) == (2, "", "error: big.json is larger than 100 bytes\n")
+    assert sum(reads) == 101
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"n": 5,\r\n "factors": []}',
+        b'{"n": 5,\r "factors": [}',
+        b'{"n": 5, "factors": [\r\n\r\n x]}',
+        b'{"n": "\r\n"}',
+        b'{"n": 5, "factors": []}\xff',
+        b'{"n": "\xc3\xa9", \xe2\x82}',
+        b'{"n": 5, "factors": []}\xe2\x82',
+        b"\xef\xbb\xbf{}",
+    ],
+)
+def test_verify_decodes_as_a_text_mode_read(tmp_path, capsys, raw):
+    """Newlines translated, UTF-8 decoded in one go: every message as before."""
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            json.load(handle)
+    except json.JSONDecodeError as exc:
+        expected = f"error: invalid JSON in {path}: {exc}\n"
+    except ValueError as exc:
+        expected = f"error: {exc}\n"
+    else:
+        expected = None
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 2
+    if expected is not None:
+        assert (out, err) == ("", expected)
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -6,7 +6,8 @@ walk (`count_perfect_pairs`) and the degree census
 (`independent_hamiltonicity_check`).  A corruption of one edge must be
 reported by `factorization_problems`.  The inputs are the modular families
 of every odd order up to 31, the perfect factorization of K_9 in
-`tests/data/k9_perfect.json` and a sample of the n = 7 oracle stream.  The
+`tests/data/k9_perfect.json` and a sample of the n = 7 oracle stream; the
+relabelling also covers four product families, each with a pinned count.  The
 random choices come from stdlib `random` with fixed seeds, so every run
 checks the same cases.
 
@@ -20,7 +21,7 @@ copy of the all-per-edge diagnosis (`_reference_problems`) gives.
 
 import json
 import random
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from pathlib import Path
 
 import pytest
@@ -74,10 +75,20 @@ def _census_count(fz):
     return sum(independent_hamiltonicity_check(f, g) for f, g in combinations(fz.factors, 2))
 
 
+def _products():
+    """(name, product factorization, its pinned perfect-pair count)."""
+    for s, t, count in ((3, 5, 60), (7, 9, 1134), (5, 15, 0)):
+        a, b = build_modular_factorization(s), build_modular_factorization(t)
+        yield f"product ({s}, {t})", product_factorization(a, b), count
+    k9 = Factorization.from_dict(json.loads(K9_PERFECT.read_text()))
+    k5 = build_modular_factorization(5)
+    yield "k9_perfect x modular 5", product_factorization(k9, k5), 720
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_relabelling_keeps_validity_and_count(seed):
     rng = random.Random(seed)
-    for name, fz, count in _inputs(rng):
+    for name, fz, count in chain(_inputs(rng), _products()):
         assert factorization_problems(fz) == [], name
         perm = list(range(fz.n))
         rng.shuffle(perm)
@@ -142,13 +153,7 @@ def _round_robin(n):
 
 def _valid_inputs(rng):
     """(name, factorization) for every valid input and a relabelling of each."""
-    named = [(name, fz) for name, fz, _ in _inputs(rng)]
-    for s, t in ((3, 5), (7, 9), (5, 15)):
-        a, b = build_modular_factorization(s), build_modular_factorization(t)
-        named.append((f"product ({s}, {t})", product_factorization(a, b)))
-    k9 = Factorization.from_dict(json.loads(K9_PERFECT.read_text()))
-    k5 = build_modular_factorization(5)
-    named.append(("k9_perfect x modular 5", product_factorization(k9, k5)))
+    named = [(name, fz) for name, fz, _ in chain(_inputs(rng), _products())]
     named += [(f"round robin {n}", _round_robin(n)) for n in (4, 6, 10, 16)]
     for name, fz in named:
         yield name, fz

@@ -442,9 +442,15 @@ def _per_pair(fz):
     return sum(classify_pair(f, g).perfect for f, g in combinations(fz.factors, 2))
 
 
-def _run(fz):
-    """The (slots, perfect masks) attachment the oracle gives a factorization."""
-    return vars(fz)["_run"]
+def _with_run_lists(n, stop=None):
+    """The n stream, up to stop, each with its run's `perfect` and `made` lists.
+
+    Both are read from the generator's frame while it waits at the yield.
+    """
+    stream = enumerate_factorizations(n)
+    for fz in islice(stream, stop):
+        names = stream.gi_frame.f_locals
+        yield fz, names["perfect"], names["made"]
 
 
 def _disjoint_pairs(factors):
@@ -513,6 +519,22 @@ def test_oracle_counts_from_its_run_table_alone(monkeypatch):
     assert [max(counts), sum(counts)] == [26, 10738]
 
 
+def test_streamed_factorizations_carry_only_their_count():
+    """n, the factors and an int perfect-pair count: nothing of the run.
+
+    Over the n = 7 stream and every 7th of the first 3000 at n = 9, the
+    count equals the classify_pair sum.
+    """
+    stream = chain(
+        enumerate_factorizations(7), islice(enumerate_factorizations(9), 0, 3000, 7)
+    )
+    for fz in stream:
+        assert vars(fz).keys() == {"n", "factors", "_perfect_pairs"}
+        count = vars(fz)["_perfect_pairs"]
+        assert type(count) is int
+        assert count == _per_pair(fz)
+
+
 def test_oracle_counts_match_per_pair_sum_on_n9_prefix():
     for fz in islice(enumerate_factorizations(9), 3000):
         assert count_perfect_pairs(fz) == _per_pair(fz)
@@ -528,9 +550,14 @@ def test_oracle_verdict_table_holds_each_pair_verdict():
     """
     factor_of = {}
     pairs = set()
-    for fz in enumerate_factorizations(7):
-        slots, perfect = _run(fz)
-        assert len(slots) == len(fz.factors)
+    slot_of = {}
+    for fz, perfect, made in _with_run_lists(7):
+        slot_of.update((id(f), a) for a, f in enumerate(made[len(slot_of) :], len(slot_of)))
+        slots = [slot_of[id(f)] for f in fz.factors]
+        assert len(set(slots)) == len(fz.factors)
+        assert count_perfect_pairs(fz) == sum(
+            perfect[a] >> b & 1 for a, b in combinations(slots, 2)
+        )
         for a, f in zip(slots, fz.factors):
             assert factor_of.setdefault(a, f) is f
         pairs.update(combinations(sorted(slots), 2))
@@ -550,9 +577,9 @@ def test_oracle_verdict_table_holds_each_pair_verdict():
 def test_threads_counting_one_run_agree_with_the_per_pair_sum():
     """Four threads count the same n = 7 run at once, switching often.
 
-    The run's masks are complete before each factorization is yielded, so
-    counting only reads them: the threads must agree with each other and
-    with the per-pair sum.
+    Each factorization carries its count before it is yielded, so counting
+    only reads it: the threads must agree with each other and with the
+    per-pair sum.
     """
     stream = list(enumerate_factorizations(7))
     expected = [_per_pair(fz) for fz in stream]
@@ -581,24 +608,26 @@ def test_oracle_runs_share_no_verdict_table():
     # The lists hold each run's mask list itself (compared by identity), so
     # the first run's list cannot be freed and its address reused by the
     # second.
-    first = [_run(fz)[1] for fz in enumerate_factorizations(7)]
-    second = [_run(fz)[1] for fz in enumerate_factorizations(7)]
+    first = [perfect for _, perfect, _ in _with_run_lists(7)]
+    second = [perfect for _, perfect, _ in _with_run_lists(7)]
     assert all(masks is first[0] for masks in first)
     assert all(masks is second[0] for masks in second)
     assert first[0] is not second[0]
     assert first[0] == second[0] and len(first[0]) == 105
-    prefix = list(islice(enumerate_factorizations(9), 3000))
-    slots = {a for fz in prefix for a in _run(fz)[0]}
-    assert slots == set(range(len(slots)))
-    assert len(slots) <= 9 * 7 * 5 * 3
+    # Every factor built so far is one of the prefix's: the slots in use are
+    # 0..len(made) - 1.
+    prefix = list(_with_run_lists(9, 3000))
+    made = prefix[-1][2]
+    assert {id(f) for fz, _, _ in prefix for f in fz.factors} == set(map(id, made))
+    assert len(made) <= 9 * 7 * 5 * 3
 
 
 def test_copies_of_oracle_factorizations_count_the_same():
     """Rebuilt, copied and pickled factorizations count like the original.
 
-    Copies are taken before the original is counted and after; the run's
-    masks are complete before a factorization is yielded, so both must
-    agree.  The attachment takes no part in ==, hash, repr or to_dict.
+    Copies are taken before the original is counted and after; the count
+    is attached before a factorization is yielded, so both must agree.
+    The count takes no part in ==, hash, repr or to_dict.
     """
     stream = chain(
         islice(enumerate_factorizations(7), 0, None, 97),
@@ -606,7 +635,7 @@ def test_copies_of_oracle_factorizations_count_the_same():
     )
     for fz in stream:
         rebuilt = Factorization(fz.n, fz.factors)
-        assert "_run" not in vars(rebuilt)
+        assert "_perfect_pairs" not in vars(rebuilt)
         assert fz == rebuilt and hash(fz) == hash(rebuilt)
         assert repr(fz) == repr(rebuilt)
         assert fz.to_dict() == rebuilt.to_dict()
@@ -626,17 +655,17 @@ def test_copies_of_oracle_factorizations_count_the_same():
 
 
 def test_copies_of_oracle_factorizations_leave_the_run_behind():
-    """copy, deepcopy and pickle keep the fields and drop the run attachment.
+    """copy, deepcopy and pickle keep the fields and drop the attached count.
 
     A copy is then counted pair by pair, as a rebuilt factorization is, and
-    the pickle of a streamed factorization carries none of its run's masks:
-    it is no larger than the pickle of the same factors rebuilt.
+    the pickle of a streamed factorization carries no count: it is no
+    larger than the pickle of the same factors rebuilt.
     """
     for fz in islice(enumerate_factorizations(9), 0, 3000, 151):
         rebuilt = Factorization(fz.n, fz.factors)
         for clone in (copy.copy(fz), copy.deepcopy(fz), pickle.loads(pickle.dumps(fz))):
             assert clone == fz
-            assert "_run" not in vars(clone)
+            assert "_perfect_pairs" not in vars(clone)
         assert len(pickle.dumps(fz)) <= len(pickle.dumps(rebuilt))
 
 
