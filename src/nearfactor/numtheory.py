@@ -73,8 +73,7 @@ def half_mod(k: int, n: int) -> Residue:
     n = operator.index(n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"half_mod requires odd n >= 3, got {n}")
-    inv2 = pow(2, -1, n)
-    return Residue(operator.index(k) * inv2 % n, n)
+    return Residue(operator.index(k) * ((n + 1) // 2) % n, n)
 
 
 def _check_coprime(s: int, t: int) -> tuple[int, int]:

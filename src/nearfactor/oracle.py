@@ -105,13 +105,14 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     array already built, so counting never rebuilds it.  Within one call,
     equal factors are one shared (immutable) object: each distinct factor
     is built once, when it first completes, under its slot (its run-local
-    creation index).  Building slot b walks it against every earlier slot a
-    with no edge in common and another isolated vertex, the only factors it
-    can share a factorization with, and marks a perfect pair in both slots'
-    masks: bit a of `perfect[b]` and bit b of `perfect[a]`.  Each yielded
-    factorization carries only its perfect-pair count, read off the masks
-    of its factors' slots, which count_perfect_pairs returns without a
-    walk; slots and masks live only as long as the call.
+    creation index).  Building slot b walks its factor against that of every
+    earlier slot a with no edge in common and another isolated vertex, the
+    only factors it can share a factorization with, and marks a perfect
+    pair in both slots' masks: bit a of `perfect[b]` and bit b of
+    `perfect[a]`.  Each yielded factorization carries only its perfect-pair
+    count, read off the masks of its factors' slots, which
+    count_perfect_pairs returns without a walk; slots and masks live only
+    as long as the call.
     """
     n = _check_enumerable(n)
     full = (1 << n) - 1
@@ -121,16 +122,14 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     # Of m edges, the one at position pos is bit m - 1 - pos of a factor's
     # edge mask, so disjoint masks sort, largest first, by first edge: the
     # emitted order.  The mask alone determines the factor, so it is the key of
-    # `built`, which gives the factor's slot.  made[slot] is the factor,
-    # walks[slot] its (partner array, isolated vertex) and perfect[slot]
-    # the bitmask of the slots it forms a perfect pair with.
+    # `built`, which gives the factor's slot.  made[slot] is the factor and
+    # perfect[slot] the bitmask of the slots it forms a perfect pair with.
     marks = [1 << pos for pos in reversed(range(len(edge_list)))]
     at_row = edge_list.index((row, row + 1))
     row_edges = slice(at_row, at_row + n - tail)
     tail_edges = slice(row_edges.stop, None)
     built: dict[int, int] = {}
     made: list[Factor] = []
-    walks: list[tuple[tuple[int | None, ...], int]] = []
     perfect: list[int] = []
 
     def build(mask: int) -> int:
@@ -145,15 +144,13 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
             raise RuntimeError(f"the search built a malformed factor: {edges}")
         c = fixed[0]
         f = Factor._prebuilt(n, mate, c)
-        walk = (f.partners, c)
         b = len(made)
         mine = 0
         for other, a in built.items():
-            if not other & mask and walks[a][1] != c and _reached(walks[a], walk):
+            if not other & mask and made[a].isolated != c and _reached(made[a], f):
                 mine |= 1 << a
                 perfect[a] |= 1 << b
         made.append(f)
-        walks.append(walk)
         perfect.append(mine)
         built[mask] = b
         return b

@@ -13,10 +13,10 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from itertools import combinations, cycle, starmap
+from math import gcd
 
 from ._record import Record
 from .factors import Factor, Factorization
-from .numtheory import gcd
 
 TERMINAL_REACHED = "reached-other-isolated"
 TERMINAL_CYCLE = "closed-cycle"
@@ -123,43 +123,45 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
     return UnionWalk(start, tuple(vertices), tuple(edges), terminal)
 
 
+def _modular_pair(k: int, l: int, n: int, claim: str) -> tuple[int, int, int]:
+    """(k % n, l % n, n) for distinct indices mod an odd n >= 3.
+
+    Any other n is refused with a message that opens with `claim`.
+    """
+    n = operator.index(n)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"{claim} odd n >= 3, got {n}")
+    k = operator.index(k) % n
+    l = operator.index(l) % n
+    if k == l:
+        raise ValueError("factor indices must be distinct")
+    return k, l, n
+
+
 def nth_union_edge(k: int, l: int, n: int, i: int) -> tuple[int, int]:
     """Closed form for the i-th edge (1-based) of the alternating walk.
 
     The walk starts at the isolated vertex of the modular factor k and uses
-    an edge of factor l first.  Returned as an ordered (from, to) pair.
+    an edge of factor l first.  Returned as an ordered (from, to) pair: with
+    h = 1/2 mod n, the edge straddles c = l*h (odd i) or k*h (even i) at
+    distance s = +-(k - l)*h*i, as (c + s, c - s) mod n.
     """
-    n = operator.index(n)
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"closed-form walk edges require odd n >= 3, got {n}")
-    k = operator.index(k) % n
-    l = operator.index(l) % n
-    if k == l:
-        raise ValueError("factor indices must be distinct")
+    k, l, n = _modular_pair(k, l, n, "closed-form walk edges require")
     i = operator.index(i)
     if not 1 <= i <= n - 1:
         raise ValueError(f"edge position {i} not in [1, {n - 1}]")
-    inv2 = pow(2, -1, n)
-    kh = k * inv2 % n
-    lh = l * inv2 % n
+    h = (n + 1) // 2
+    s = (k - l) * h * i
     if i % 2 == 1:
-        a = (i * kh - (i - 1) * lh) % n
-        b = ((i + 1) * lh - i * kh) % n
+        c = l * h
     else:
-        a = (i * lh - (i - 1) * kh) % n
-        b = ((i + 1) * kh - i * lh) % n
-    return (a, b)
+        c, s = k * h, -s
+    return ((c + s) % n, (c - s) % n)
 
 
 def is_perfect_by_gcd(k: int, l: int, n: int) -> bool:
     """Coprimality criterion for modular pairs: gcd((k - l) % n, n) == 1."""
-    n = operator.index(n)
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"the gcd criterion applies to odd n >= 3, got {n}")
-    k = operator.index(k) % n
-    l = operator.index(l) % n
-    if k == l:
-        raise ValueError("factor indices must be distinct")
+    k, l, n = _modular_pair(k, l, n, "the gcd criterion applies to")
     return gcd((k - l) % n, n) == 1
 
 
@@ -170,19 +172,19 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
     ends at a missing edge, not back at its start.
     Even order: perfect iff the union of the two matchings is one n-cycle.
     """
-    n = _check_same_order(f, g)
-    if f.edges == g.edges:
-        raise ValueError("factors must be distinct")
-    if n % 2 == 1:
-        walk = union_walk(f, g)
+    if f.n % 2 == 1:
+        walk = union_walk(f, g)  # checks the orders, the edge lists and the starts
         perfect = walk.terminal == TERMINAL_REACHED
         gcd_perfect = None
         ki, li = f.modular_index, g.modular_index
         if ki is not None and li is not None and ki != li:
-            gcd_perfect = is_perfect_by_gcd(ki, li, n)
+            gcd_perfect = is_perfect_by_gcd(ki, li, f.n)
         return PairClassification(
-            n=n, perfect=perfect, witness=walk, gcd_perfect=gcd_perfect
+            n=f.n, perfect=perfect, witness=walk, gcd_perfect=gcd_perfect
         )
+    n = _check_same_order(f, g)
+    if f.edges == g.edges:
+        raise ValueError("factors must be distinct")
     # The union of two distinct perfect matchings is 2-regular (as a
     # multigraph), so the component of vertex 0 is a cycle; it is traced by
     # alternating an edge of f with an edge of g.
@@ -200,21 +202,21 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
     return PairClassification(n=n, perfect=len(cycle) == n, cycle=tuple(cycle))
 
 
-def _reached(
-    f: tuple[tuple[int | None, ...], int], g: tuple[tuple[int | None, ...], int]
-) -> bool:
+def _reached(f: Factor, g: Factor) -> bool:
     """Whether the walk from f's isolated vertex reaches every vertex.
 
-    The walk takes a g-edge, then an f-edge, and so on.  f and g are
-    (partner array, isolated vertex), as `_walk_inputs` gives them.
-    Precondition: both arrays are involutions with no fixed point, and f's
-    leaves the start uncovered.  The walk can then revisit only the start,
-    which f cannot lead back to and g only from g[start], revisited first;
-    so every step reaches a new vertex, and the walk is a Hamiltonian path
-    iff it makes (n - 1) / 2 g-then-f double steps without a missing edge.
+    The walk takes a g-edge, then an f-edge, and so on, along the two
+    partner arrays.  Precondition, which `_walkable` checks: f and g share
+    one odd order and have partner arrays that build, and f's isolated
+    vertex is in range and uncovered.  The walk can then revisit only the
+    start, which f cannot lead back to and g only from g.partners[start],
+    revisited first; so every step reaches a new vertex, and the walk is a
+    Hamiltonian path iff it makes (n - 1) / 2 g-then-f double steps
+    without a missing edge.
     """
-    pf, v = f
-    pg = g[0]
+    pf = f.partners
+    pg = g.partners
+    v = f.isolated
     k = len(pf) // 2
     while k:
         v = pg[v]
@@ -227,43 +229,39 @@ def _reached(
     return True
 
 
-def _walk_inputs(
-    fz: Factorization,
-) -> list[tuple[tuple[int | None, ...], int]] | None:
-    """(partner array, isolated vertex) of every factor, when all pairs walk.
+def _walkable(fz: Factorization) -> bool:
+    """Whether `_reached` decides every pair of factors as classify_pair would.
 
-    None unless `_reached` decides every pair as classify_pair would: one
-    odd order, every isolated vertex set, in range and uncovered, pairwise
-    distinct edge lists and partner arrays that build.
+    It does when the factors share one odd order and have pairwise distinct
+    edge lists, partner arrays that build and isolated vertices that are
+    set, in range and uncovered.
     """
     factors = fz.factors
     n = factors[0].n if factors else 0
     if n % 2 == 0 or len({f.edges for f in factors}) != len(factors):
-        return None
-    inputs = []
+        return False
     for f in factors:
         start = f.isolated
         try:
             partners = f.partners
         except ValueError:
-            return None
+            return False
         if f.n != n or start not in range(n) or partners[start] is not None:
-            return None
-        inputs.append((partners, start))
-    return inputs
+            return False
+    return True
 
 
 def _pair_verdicts(fz: Factorization) -> Iterator[bool]:
     """Whether each pair of factors is perfect, in `combinations` order.
 
-    The witness-free walk when `_walk_inputs` holds; otherwise every pair
-    goes through classify_pair, so the error raised is the one of the first
-    failing pair.
+    The witness-free walk on the factors when `_walkable` holds; otherwise
+    every pair goes through classify_pair, so the error raised is the one
+    of the first failing pair.
     """
-    inputs = _walk_inputs(fz)
-    if inputs is None:
-        return (classify_pair(f, g).perfect for f, g in combinations(fz.factors, 2))
-    return starmap(_reached, combinations(inputs, 2))
+    pairs = combinations(fz.factors, 2)
+    if _walkable(fz):
+        return starmap(_reached, pairs)
+    return (classify_pair(f, g).perfect for f, g in pairs)
 
 
 def count_perfect_pairs(fz: Factorization) -> int:
@@ -273,8 +271,9 @@ def count_perfect_pairs(fz: Factorization) -> int:
     the verdict of one pair together with its path or cycle.  A
     factorization from enumerate_factorizations carries the count its run
     took from the verdicts it decided when it built each factor; any other
-    is the sum of `_pair_verdicts`, which checks the preconditions of the
-    walk once and otherwise classifies pair by pair.
+    is the sum of `_pair_verdicts`, which checks once that `_walkable`
+    holds and then walks the factors themselves, or else classifies pair
+    by pair.
     """
     count = vars(fz).get("_perfect_pairs")  # set by enumerate_factorizations
     if count is None:

@@ -99,9 +99,9 @@ def test_kernel_matches_classify_pair_on_random_pairs():
         f, g = _random_pair(rng)
         expected = _outcome(lambda a, b: classify_pair(a, b).perfect, f, g)
         assert _outcome(_count_pair, f, g) == expected, (f, g)
-        walked = pairing._walk_inputs(Factorization(n=f.n, factors=(f, g)))
+        walked = pairing._walkable(Factorization(n=f.n, factors=(f, g)))
         outcome = expected if isinstance(expected, bool) else expected[0]
-        outcomes.add((walked is not None, outcome))
+        outcomes.add((walked, outcome))
     assert outcomes == {
         (True, True),
         (True, False),
@@ -164,7 +164,7 @@ def test_count_fast_path_matches_per_pair_reference():
             got = type(exc).__name__, str(exc)
         assert got == expected, fz
         outcome = expected[0] if isinstance(expected, tuple) else expected > 0
-        seen.add((pairing._walk_inputs(fz) is not None, outcome))
+        seen.add((pairing._walkable(fz), outcome))
     assert seen == {
         (True, True),
         (True, False),
@@ -186,7 +186,7 @@ def test_count_fast_path_edge_cases():
         ((unset, g), "both factors need an isolated vertex (odd order)"),
     ]:
         fz = Factorization(n=5, factors=factors)
-        assert pairing._walk_inputs(fz) is None
+        assert not pairing._walkable(fz)
         with pytest.raises(ValueError) as excinfo:
             count_perfect_pairs(fz)
         assert str(excinfo.value) == message
@@ -194,7 +194,7 @@ def test_count_fast_path_edge_cases():
     even = Factorization(
         n=6, factors=tuple(build_modular_factor_even(6, k) for k in (1, 3, 5))
     )
-    assert pairing._walk_inputs(even) is None
+    assert not pairing._walkable(even)
     assert count_perfect_pairs(even) == _per_pair(even) == 3
 
 
@@ -245,9 +245,7 @@ def _kernel_cases():
 def test_kernel_matches_classify_pair_on_whole_families():
     """The countdown walk decides every ordered pair as the witness walk does."""
     for name, fz in _kernel_cases():
-        inputs = pairing._walk_inputs(fz)
-        assert inputs is not None, name
-        walks = dict(zip(fz.factors, inputs))
+        assert pairing._walkable(fz), name
         for f, g in permutations(fz.factors, 2):
             perfect = classify_pair(f, g).perfect
-            assert pairing._reached(walks[f], walks[g]) == perfect, (name, f, g)
+            assert pairing._reached(f, g) == perfect, (name, f, g)

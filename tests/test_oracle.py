@@ -497,8 +497,7 @@ def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
             factors.update(fz.factors)
         assert counts == expected
         pairs = _disjoint_pairs(factors)
-        by_partners = {f.partners: f for f in factors}
-        walked = [frozenset((by_partners[f[0]], by_partners[g[0]])) for f, g in walks]
+        walked = [frozenset(pair) for pair in walks]
         assert len(walked) == len(set(walked)) == len(pairs) == disjoint
         assert set(walked) == pairs
         walks.clear()
@@ -506,12 +505,12 @@ def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
 
 
 def test_oracle_counts_from_its_run_table_alone(monkeypatch):
-    """Streamed factorizations never re-check their factors' walk inputs."""
+    """Streamed factorizations never re-check that their factors walk."""
 
     def refuse(fz):
         raise AssertionError("oracle factors re-checked")
 
-    monkeypatch.setattr(pairing, "_walk_inputs", refuse)
+    monkeypatch.setattr(pairing, "_walkable", refuse)
     summary = oracle_summary(7)
     assert (summary.exact_c, summary.factorizations_seen) == (21, 6240)
     prefix = islice(enumerate_factorizations(9), 500)

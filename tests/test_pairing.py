@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -45,11 +45,29 @@ def test_union_walk_k3():
 
 
 def test_union_walk_rejects_bad_pairs():
+    """union_walk's refusals are classify_pair's at odd order, word for word."""
     f5 = build_modular_factor(5, 0)
     with pytest.raises(ValueError, match="mismatched"):
         union_walk(f5, build_modular_factor(7, 0))
     with pytest.raises(ValueError, match="distinct"):
         union_walk(f5, build_modular_factor(5, 0))
+    g5 = build_modular_factor(5, 1)
+    e4 = Factor(4, ((0, 1), (2, 3)))
+    cases = [
+        (f5, e4, "mismatched graph orders: 5 vs 4"),
+        (e4, f5, "mismatched graph orders: 4 vs 5"),
+        (f5, Factor(5, f5.edges, 0), "factors must be distinct"),
+        (e4, Factor(4, e4.edges), "factors must be distinct"),
+        (Factor(5, f5.edges), g5, "both factors need an isolated vertex (odd order)"),
+        (f5, Factor(5, g5.edges), "both factors need an isolated vertex (odd order)"),
+        (Factor(5, f5.edges, 5), g5, "isolated vertex 5 out of range for order 5"),
+    ]
+    for f, g, message in cases:
+        deciders = (classify_pair, union_walk) if f.n % 2 else (classify_pair,)
+        for decide in deciders:
+            with pytest.raises(ValueError) as excinfo:
+                decide(f, g)
+            assert str(excinfo.value) == message, (decide, f, g)
 
 
 def test_classify_pair_raises_on_every_call_for_malformed_factors():
@@ -116,7 +134,7 @@ def test_walk_from_a_covered_start_closes_a_cycle(f, g, vertices):
     assert walk.edges == tuple(zip(vertices, vertices[1:]))
     assert not classify_pair(f, g).perfect
     fz = Factorization(5, (f, g))
-    assert pairing._walk_inputs(fz) is None
+    assert not pairing._walkable(fz)
     assert count_perfect_pairs(fz) == 0
 
 
@@ -127,23 +145,26 @@ def test_nth_union_edge_examples():
 
 
 def test_nth_union_edge_rejects_bad_positions():
-    with pytest.raises(ValueError):
-        nth_union_edge(0, 1, 5, 0)
-    with pytest.raises(ValueError):
-        nth_union_edge(0, 1, 5, 5)
-    with pytest.raises(ValueError):
-        nth_union_edge(2, 2, 5, 1)
-    with pytest.raises(ValueError):
-        nth_union_edge(0, 1, 6, 1)
+    for args, message in [
+        ((0, 1, 5, 0), "edge position 0 not in [1, 4]"),
+        ((0, 1, 5, 5), "edge position 5 not in [1, 4]"),
+        ((2, 2, 5, 1), "factor indices must be distinct"),
+        ((0, 5, 5, 1), "factor indices must be distinct"),
+        ((0, 1, 1, 1), "closed-form walk edges require odd n >= 3, got 1"),
+        ((0, 1, 6, 1), "closed-form walk edges require odd n >= 3, got 6"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            nth_union_edge(*args)
+        assert str(excinfo.value) == message, args
 
 
 def test_nth_union_edge_matches_walk():
+    """The closed form gives every edge of the walk, a non-coprime prefix too."""
     for n in (5, 9, 15, 21):
         fz = build_modular_factorization(n)
-        for k, l in combinations(range(n), 2):
-            if gcd(k - l, n) != 1:
-                continue
+        for k, l in permutations(range(n), 2):
             walk = union_walk(fz.factors[k], fz.factors[l])
+            assert (len(walk.edges) == n - 1) == (gcd(k - l, n) == 1)
             for i, edge in enumerate(walk.edges, start=1):
                 assert nth_union_edge(k, l, n, i) == edge
 
@@ -153,8 +174,15 @@ def test_is_perfect_by_gcd_examples():
     assert is_perfect_by_gcd(0, 3, 9) is False
     assert is_perfect_by_gcd(2, 7, 15) is False
     assert is_perfect_by_gcd(1, 5, 15) is True
-    with pytest.raises(ValueError):
-        is_perfect_by_gcd(2, 2, 5)
+    for args, message in [
+        ((2, 2, 5), "factor indices must be distinct"),
+        ((0, 5, 5), "factor indices must be distinct"),
+        ((0, 1, 1), "the gcd criterion applies to odd n >= 3, got 1"),
+        ((0, 1, 6), "the gcd criterion applies to odd n >= 3, got 6"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            is_perfect_by_gcd(*args)
+        assert str(excinfo.value) == message, args
 
 
 def test_classify_pair_odd_order():
