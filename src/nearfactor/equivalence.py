@@ -30,30 +30,6 @@ class EquivalenceReport(Record):
     bounds_equal: bool
     failures: tuple[int, ...]
 
-    def __init__(
-        self,
-        s: int,
-        t: int,
-        n: int,
-        index_map: tuple[tuple[int, int, int], ...],
-        all_edge_sets_equal: bool,
-        direct_bound: int,
-        product_bound: int,
-        bounds_equal: bool,
-        failures: tuple[int, ...],
-    ) -> None:
-        vars(self).update(
-            s=s,
-            t=t,
-            n=n,
-            index_map=index_map,
-            all_edge_sets_equal=all_edge_sets_equal,
-            direct_bound=direct_bound,
-            product_bound=product_bound,
-            bounds_equal=bounds_equal,
-            failures=failures,
-        )
-
 
 def crt_vertex_map(v: int, s: int, t: int) -> tuple[int, int]:
     """Vertex of K_{st} -> pair vertex: v -> (v % s, v % t); a bijection."""

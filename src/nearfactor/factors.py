@@ -190,10 +190,7 @@ class FactorVerdict(Record):
     """Outcome of validate_factor: valid flag plus the first violation found."""
 
     valid: bool
-    reason: str | None
-
-    def __init__(self, valid: bool, reason: str | None = None) -> None:
-        vars(self).update(valid=valid, reason=reason)
+    reason: str | None = None
 
     def __bool__(self) -> bool:
         return self.valid

@@ -218,16 +218,6 @@ class OracleSummary(Record):
     lower_bound: int
     factorizations_seen: int
 
-    def __init__(
-        self, n: int, exact_c: int, lower_bound: int, factorizations_seen: int
-    ) -> None:
-        vars(self).update(
-            n=n,
-            exact_c=exact_c,
-            lower_bound=lower_bound,
-            factorizations_seen=factorizations_seen,
-        )
-
 
 def oracle_summary(n: int, expensive: bool = False) -> OracleSummary:
     """exact_c together with the n*phi(n)/2 lower bound, in one pass.

@@ -39,15 +39,6 @@ class UnionWalk(Record):
     edges: tuple[tuple[int, int], ...]
     terminal: str
 
-    def __init__(
-        self,
-        start: int,
-        vertices: tuple[int, ...],
-        edges: tuple[tuple[int, int], ...],
-        terminal: str,
-    ) -> None:
-        vars(self).update(start=start, vertices=vertices, edges=edges, terminal=terminal)
-
 
 class PairClassification(Record):
     """Verdict for one pair of factors.
@@ -60,21 +51,9 @@ class PairClassification(Record):
 
     n: int
     perfect: bool
-    witness: UnionWalk | None
-    cycle: tuple[int, ...] | None
-    gcd_perfect: bool | None
-
-    def __init__(
-        self,
-        n: int,
-        perfect: bool,
-        witness: UnionWalk | None = None,
-        cycle: tuple[int, ...] | None = None,
-        gcd_perfect: bool | None = None,
-    ) -> None:
-        vars(self).update(
-            n=n, perfect=perfect, witness=witness, cycle=cycle, gcd_perfect=gcd_perfect
-        )
+    witness: UnionWalk | None = None
+    cycle: tuple[int, ...] | None = None
+    gcd_perfect: bool | None = None
 
     @property
     def criterion_agreement(self) -> bool | None:

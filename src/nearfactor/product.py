@@ -36,17 +36,6 @@ class ProductFactor(Record):
     edges: tuple[tuple[PairVertex, PairVertex], ...]
     isolated: PairVertex
 
-    def __init__(
-        self,
-        s: int,
-        t: int,
-        k: int,
-        l: int,
-        edges: tuple[tuple[PairVertex, PairVertex], ...],
-        isolated: PairVertex,
-    ) -> None:
-        vars(self).update(s=s, t=t, k=k, l=l, edges=edges, isolated=isolated)
-
     def flatten_vertex(self, pv: PairVertex) -> int:
         """Positional encoding of a pair vertex: (i, j) -> i * t + j."""
         return pv[0] * self.t + pv[1]

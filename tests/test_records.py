@@ -6,13 +6,16 @@ class with equal fields, hashes as the tuple of its fields and prints as
 """
 
 import copy
+import importlib
 import inspect
 import itertools
 import json
 import pickle
+import pkgutil
 
 import pytest
 
+import nearfactor
 from nearfactor import (
     EquivalenceReport,
     Factor,
@@ -24,6 +27,7 @@ from nearfactor import (
     Residue,
     UnionWalk,
 )
+from nearfactor._record import Record
 
 F = Factor(3, ((0, 1),), 2, 1)
 WALK = UnionWalk(2, (2, 0, 1), ((2, 0), (0, 1)), "reached-other-isolated")
@@ -129,6 +133,42 @@ DEFAULTS = [
     (PairClassification, (3, False), (3, False, None, None, None)),
 ]
 
+# The annotation string of each constructor parameter, in field order.
+ANNOTATIONS = {
+    Residue: ("int", "int"),
+    Factor: ("int", "tuple[Edge, ...]", "int | None", "int | None"),
+    Factorization: ("int", "tuple[Factor, ...]"),
+    FactorVerdict: ("bool", "str | None"),
+    UnionWalk: ("int", "tuple[int, ...]", "tuple[tuple[int, int], ...]", "str"),
+    PairClassification: (
+        "int",
+        "bool",
+        "UnionWalk | None",
+        "tuple[int, ...] | None",
+        "bool | None",
+    ),
+    ProductFactor: (
+        "int",
+        "int",
+        "int",
+        "int",
+        "tuple[tuple[PairVertex, PairVertex], ...]",
+        "PairVertex",
+    ),
+    EquivalenceReport: (
+        "int",
+        "int",
+        "int",
+        "tuple[tuple[int, int, int], ...]",
+        "bool",
+        "int",
+        "int",
+        "bool",
+        "tuple[int, ...]",
+    ),
+    OracleSummary: ("int", "int", "int", "int"),
+}
+
 IDS = [case[0].__name__ for case in CASES]
 
 
@@ -136,10 +176,25 @@ def _fields(obj, names):
     return tuple(getattr(obj, name) for name in names)
 
 
+def _defaults(cls, names):
+    """Each field's default as the DEFAULTS rows give it, else `empty`."""
+    rows = [(len(omitted), stored) for c, omitted, stored in DEFAULTS if c is cls]
+    first, stored = min(rows, default=(len(names), ()))
+    return (inspect.Parameter.empty,) * first + stored[first:]
+
+
 @pytest.mark.parametrize("cls, names, args, stored, text, other", CASES, ids=IDS)
 def test_positional_and_keyword_construction(cls, names, args, stored, text, other):
     assert cls.__match_args__ == names
-    assert list(inspect.signature(cls).parameters) == list(names)
+    signature = inspect.signature(cls)
+    assert list(signature.parameters) == list(names)
+    params = signature.parameters.values()
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert tuple(p.default for p in params) == _defaults(cls, names)
+    assert tuple(p.annotation for p in params) == ANNOTATIONS[cls]
+    assert signature.return_annotation == "None"
+    # A field's default lives on its constructor, not on the class.
+    assert not [name for name in names if hasattr(cls, name)]
     positional = cls(*args)
     keyword = cls(**dict(zip(names, args)))
     mixed = cls(args[0], **dict(zip(names[1:], args[1:])))
@@ -264,3 +319,21 @@ def test_to_dict_names_the_fields_in_plain_json(cls, names, args, stored, text, 
     data = cls(*args).to_dict()
     assert sorted(data) == sorted(names)
     assert data == json.loads(json.dumps(data))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_class_has_a_contract_row():
+    # A record added to the package must bring its row in CASES with it.
+    for module in pkgutil.iter_modules(nearfactor.__path__, "nearfactor."):
+        importlib.import_module(module.name)
+    defined = {
+        cls
+        for cls in _subclasses(Record)
+        if cls.__module__ == "nearfactor" or cls.__module__.startswith("nearfactor.")
+    }
+    assert defined == {case[0] for case in CASES}
