@@ -1,111 +1,21 @@
 """Modular (near-)one-factorizations of complete graphs and perfect pairs."""
 
-from .numtheory import Residue, crt_combine, gcd, half_mod, mod_inverse, totient
-from .factors import (
-    Edge,
-    Factor,
-    Factorization,
-    FactorVerdict,
-    build_modular_factor,
-    build_modular_factor_even,
-    build_modular_factorization,
-    factor_index_of_edge,
-    factorization_problems,
-    make_edge,
-    validate_factor,
-)
-from .pairing import (
-    TERMINAL_CYCLE,
-    TERMINAL_EARLY,
-    TERMINAL_REACHED,
-    PairClassification,
-    UnionWalk,
-    classify_pair,
-    count_perfect_pairs,
-    is_perfect_by_gcd,
-    nth_union_edge,
-    union_walk,
-)
-from .product import (
-    PairVertex,
-    ProductFactor,
-    build_product_factor,
-    count_perfect_product_pairs,
-    flatten_product_factor,
-    is_perfect_product_pair,
-    predicted_perfect_product_pairs,
-    product_bound,
-    product_factorization,
-)
-from .equivalence import (
-    EquivalenceReport,
-    build_equivalence_report,
-    crt_vertex_map,
-    map_factor_index,
-    verify_factor_equality,
-)
-from .oracle import (
-    CostGuardError,
-    OracleSummary,
-    enumerate_factorizations,
-    exact_c,
-    independent_hamiltonicity_check,
-    oracle_agrees_with_classification,
-    oracle_summary,
-    write_factorizations_ndjson,
-)
+from .numtheory import *
+from .factors import *
+from .pairing import *
+from .product import *
+from .equivalence import *
+from .oracle import *
+from . import equivalence, factors, numtheory, oracle, pairing, product
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Residue",
-    "crt_combine",
-    "gcd",
-    "half_mod",
-    "mod_inverse",
-    "totient",
-    "Edge",
-    "Factor",
-    "Factorization",
-    "FactorVerdict",
-    "build_modular_factor",
-    "build_modular_factor_even",
-    "build_modular_factorization",
-    "factor_index_of_edge",
-    "factorization_problems",
-    "make_edge",
-    "validate_factor",
-    "TERMINAL_CYCLE",
-    "TERMINAL_EARLY",
-    "TERMINAL_REACHED",
-    "PairClassification",
-    "UnionWalk",
-    "classify_pair",
-    "count_perfect_pairs",
-    "is_perfect_by_gcd",
-    "nth_union_edge",
-    "union_walk",
-    "PairVertex",
-    "ProductFactor",
-    "build_product_factor",
-    "count_perfect_product_pairs",
-    "flatten_product_factor",
-    "is_perfect_product_pair",
-    "predicted_perfect_product_pairs",
-    "product_bound",
-    "product_factorization",
-    "EquivalenceReport",
-    "build_equivalence_report",
-    "crt_vertex_map",
-    "map_factor_index",
-    "verify_factor_equality",
-    "CostGuardError",
-    "OracleSummary",
-    "enumerate_factorizations",
-    "exact_c",
-    "independent_hamiltonicity_check",
-    "oracle_agrees_with_classification",
-    "oracle_summary",
-    "write_factorizations_ndjson",
+    *numtheory.__all__,
+    *factors.__all__,
+    *pairing.__all__,
+    *product.__all__,
+    *equivalence.__all__,
+    *oracle.__all__,
     "__version__",
 ]

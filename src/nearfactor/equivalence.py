@@ -16,6 +16,14 @@ from .factors import build_modular_factor
 from .numtheory import _check_coprime, totient
 from .product import _check_orders, build_product_factor, product_bound
 
+__all__ = [
+    "EquivalenceReport",
+    "build_equivalence_report",
+    "crt_vertex_map",
+    "map_factor_index",
+    "verify_factor_equality",
+]
+
 
 class EquivalenceReport(Record):
     """Outcome of the full factor-by-factor comparison for one (s, t)."""
@@ -47,8 +55,15 @@ def map_factor_index(p: int, s: int, t: int) -> tuple[int, int]:
     return (p % s, p % t)
 
 
-def _same_factor(p: int, s: int, t: int) -> bool:
-    """verify_factor_equality for coprime ints s, t and p in [0, s*t)."""
+def verify_factor_equality(p: int, s: int, t: int) -> bool:
+    """Check that modular factor p of K_{st} equals product factor (p%s, p%t).
+
+    Edge sets must match under the vertex map v -> (v % s, v % t) and the
+    isolated vertices must correspond.  s and t must be coprime, odd and
+    >= 3; p is taken mod s*t.
+    """
+    s, t = _check_coprime(s, t)
+    p = operator.index(p) % (s * t)
     direct = build_modular_factor(s * t, p)
     prod = build_product_factor(s, t, p % s, p % t)
     mapped = set()
@@ -60,16 +75,6 @@ def _same_factor(p: int, s: int, t: int) -> bool:
     return mapped == set(prod.edges) and (iso % s, iso % t) == prod.isolated
 
 
-def verify_factor_equality(p: int, s: int, t: int) -> bool:
-    """Check that modular factor p of K_{st} equals product factor (p%s, p%t).
-
-    Edge sets must match under the vertex map v -> (v % s, v % t) and the
-    isolated vertices must correspond.
-    """
-    s, t = _check_coprime(s, t)
-    return _same_factor(operator.index(p) % (s * t), s, t)
-
-
 def build_equivalence_report(s: int, t: int) -> EquivalenceReport:
     """Compare every factor index p of K_{st} and both lower bounds.
 
@@ -78,7 +83,7 @@ def build_equivalence_report(s: int, t: int) -> EquivalenceReport:
     """
     s, t = _check_orders(*_check_coprime(s, t))
     n = s * t
-    failures = tuple(p for p in range(n) if not _same_factor(p, s, t))
+    failures = tuple(p for p in range(n) if not verify_factor_equality(p, s, t))
     direct_bound = n * totient(n) // 2
     prod_bound = product_bound(s, t, s * totient(s) // 2, t * totient(t) // 2)
     return EquivalenceReport(

@@ -16,6 +16,20 @@ from itertools import chain, islice
 from ._record import Record
 from .numtheory import Residue, half_mod
 
+__all__ = [
+    "Edge",
+    "Factor",
+    "Factorization",
+    "FactorVerdict",
+    "build_modular_factor",
+    "build_modular_factor_even",
+    "build_modular_factorization",
+    "factor_index_of_edge",
+    "factorization_problems",
+    "make_edge",
+    "validate_factor",
+]
+
 Edge = tuple[int, int]
 
 # The most uncovered vertices validate_factor names in its reason.
@@ -99,18 +113,15 @@ class Factor(Record):
     def partners(self) -> tuple[int | None, ...]:
         """Vertex -> matched partner (None where uncovered), built once.
 
-        Raises ValueError on out-of-range vertices or double coverage, on
-        every access (a failure is not cached); use validate_factor for a
-        non-raising verdict.
+        Raises ValueError on an out-of-range vertex or a vertex covered
+        twice, on every access (a failure is not cached); its message is
+        validate_factor's reason, which is also the non-raising verdict.
         """
-        partner: list[int | None] = [None] * self.n
+        n = self.n
+        partner: list[int | None] = [None] * n
         for u, v in self.edges:
-            if not 0 <= u < self.n or not 0 <= v < self.n:
-                raise ValueError(f"edge ({u}, {v}) out of range for order {self.n}")
-            if partner[u] is not None:
-                raise ValueError(f"vertex {u} covered twice")
-            if partner[v] is not None:
-                raise ValueError(f"vertex {v} covered twice")
+            if not (0 <= u < n and 0 <= v < n and partner[u] is partner[v] is None):
+                raise ValueError(validate_factor(self).reason)
             partner[u] = v
             partner[v] = u
         return tuple(partner)
@@ -174,9 +185,6 @@ class Factorization(Record):
         # copy, deepcopy and pickle rebuild from the fields alone, so a copy
         # leaves behind the perfect-pair count enumerate_factorizations sets.
         return (self.__class__, (self.n, self.factors))
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "factors": [f.to_dict() for f in self.factors]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Factorization":
@@ -259,8 +267,6 @@ def build_modular_factor(n: int, k: int) -> Factor:
         raise ValueError(f"graph order must be >= 3, got {n}")
     if n % 2 == 0:
         raise ValueError(f"modular near-one-factor requires odd order, got {n}")
-    if not 0 <= k < n:
-        raise ValueError(f"factor index {k} not in [0, {n})")
     return _modular_factor(n, k, half_mod(k, n).value)
 
 
@@ -275,8 +281,6 @@ def build_modular_factor_even(n: int, k: int) -> Factor:
     k = operator.index(k)
     if n < 4 or n % 2 == 1:
         raise ValueError(f"modular one-factor requires even order >= 4, got {n}")
-    if not 0 <= k < n:
-        raise ValueError(f"factor index {k} not in [0, {n})")
     return _modular_factor(n, k, None)
 
 
@@ -286,6 +290,8 @@ def _modular_factor(n: int, k: int, isolated: int | None) -> Factor:
     p[i] = (k - i) % n; its fixed points, the v with 2 * v % n == k, are
     `isolated` (odd n) or paired with each other (even n, even k).
     """
+    if not 0 <= k < n:
+        raise ValueError(f"factor index {k} not in [0, {n})")
     partners: list[int | None] = [*range(k, -1, -1), *range(n - 1, k, -1)]
     if n % 2 == 0 and k % 2 == 0:
         a, b = k // 2, (n + k) // 2

@@ -7,6 +7,15 @@ import operator
 
 from ._record import Record
 
+__all__ = [
+    "Residue",
+    "crt_combine",
+    "gcd",
+    "half_mod",
+    "mod_inverse",
+    "totient",
+]
+
 
 class Residue(Record):
     """An integer stored normalized into [0, modulus)."""

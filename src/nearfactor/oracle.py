@@ -25,6 +25,17 @@ from .factors import Factor, Factorization
 from .numtheory import totient
 from .pairing import _reached, classify_pair, count_perfect_pairs
 
+__all__ = [
+    "CostGuardError",
+    "OracleSummary",
+    "enumerate_factorizations",
+    "exact_c",
+    "independent_hamiltonicity_check",
+    "oracle_agrees_with_classification",
+    "oracle_summary",
+    "write_factorizations_ndjson",
+]
+
 
 class CostGuardError(RuntimeError):
     """Raised when a run would be unboundedly expensive without explicit opt-in."""

@@ -18,6 +18,19 @@ from math import gcd
 from ._record import Record
 from .factors import Factor, Factorization
 
+__all__ = [
+    "TERMINAL_CYCLE",
+    "TERMINAL_EARLY",
+    "TERMINAL_REACHED",
+    "PairClassification",
+    "UnionWalk",
+    "classify_pair",
+    "count_perfect_pairs",
+    "is_perfect_by_gcd",
+    "nth_union_edge",
+    "union_walk",
+]
+
 TERMINAL_REACHED = "reached-other-isolated"
 TERMINAL_CYCLE = "closed-cycle"
 TERMINAL_EARLY = "stopped-early"

@@ -23,6 +23,18 @@ from .factors import (
 from .numtheory import gcd, half_mod
 from .pairing import count_perfect_pairs
 
+__all__ = [
+    "PairVertex",
+    "ProductFactor",
+    "build_product_factor",
+    "count_perfect_product_pairs",
+    "flatten_product_factor",
+    "is_perfect_product_pair",
+    "predicted_perfect_product_pairs",
+    "product_bound",
+    "product_factorization",
+]
+
 PairVertex = tuple[int, int]
 
 

@@ -303,6 +303,11 @@ def test_whole_list_check_agrees_with_the_per_edge_path(seed):
         for kind, bad in _corruptions(rng, fz):
             assert _agrees_with_reference(bad, (name, kind)), (name, kind)
             kinds.add(kind)
+            for f in bad.factors:
+                try:
+                    f.partners
+                except ValueError as e:
+                    assert str(e) == validate_factor(f).reason, (name, kind)
     assert len(kinds) == 13
 
 

@@ -74,15 +74,18 @@ def test_classify_pair_raises_on_every_call_for_malformed_factors():
     # a failed partner array is not remembered: the second call raises too
     doubled = Factor(n=5, edges=((1, 4), (2, 4)), isolated=0)
     doubled_even = Factor(n=4, edges=((0, 1), (0, 2)))
+    out_of_range = Factor(n=5, edges=((1, 4), (2, 5)), isolated=0)
     cases = (
-        (doubled, build_modular_factor(5, 1)),
-        (build_modular_factor(5, 1), doubled),
-        (doubled_even, Factor(n=4, edges=((0, 3), (1, 2)))),
+        (doubled, build_modular_factor(5, 1), "vertex 4 covered twice"),
+        (build_modular_factor(5, 1), doubled, "vertex 4 covered twice"),
+        (doubled_even, Factor(n=4, edges=((0, 3), (1, 2))), "vertex 0 covered twice"),
+        (out_of_range, build_modular_factor(5, 1), "vertex 5 out of range for order 5"),
     )
-    for f, g in cases:
+    for f, g, message in cases:
         for _ in range(2):
-            with pytest.raises(ValueError, match="covered twice"):
+            with pytest.raises(ValueError) as excinfo:
                 classify_pair(f, g)
+            assert str(excinfo.value) == message
 
 
 def test_union_walk_never_revisits():

@@ -221,6 +221,19 @@ def test_required_fields_have_no_default():
                 cls(*args[:-1])
 
 
+def test_a_record_without_a_buildable_constructor_is_refused():
+    # A default before a field without one, or a field named `self`, cannot
+    # become a parameter list, so the class itself is refused.
+    with pytest.raises(TypeError, match="DefaultFirst"):
+        class DefaultFirst(Record):
+            a: int = 0
+            b: int
+    with pytest.raises(TypeError, match="SelfField"):
+        class SelfField(Record):
+            self: int
+            b: int
+
+
 def test_constructors_validate():
     with pytest.raises(ValueError):
         Residue(3, 3)
