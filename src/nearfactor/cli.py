@@ -32,14 +32,12 @@ from .factors import (
     factorization_problems,
 )
 from .numtheory import totient
-from .oracle import CostGuardError, oracle_summary
 from .pairing import (
     _pair_verdicts,
     classify_pair,
     count_perfect_pairs,
     is_perfect_by_gcd,
 )
-from .equivalence import build_equivalence_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -176,6 +174,8 @@ def cmd_pairs(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_equiv(args: argparse.Namespace) -> tuple[str, int]:
+    from .equivalence import build_equivalence_report
+
     report = build_equivalence_report(args.s, args.t)
     ok = report.all_edge_sets_equal and report.bounds_equal
     code = EXIT_OK if ok else EXIT_VALIDATION
@@ -191,6 +191,8 @@ def cmd_equiv(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> tuple[str, int]:
+    from .oracle import oracle_summary
+
     summary = oracle_summary(args.n, expensive=args.expensive)
     if args.format == "json":
         return to_json(summary.to_dict()), EXIT_OK
@@ -301,6 +303,15 @@ COMMANDS = {
 }
 
 
+def _cost_guard_error() -> type[Exception]:
+    # Named in `main`'s except clause, which Python evaluates only when an
+    # exception reaches it, so a subcommand that raises none never imports
+    # the oracle.
+    from .oracle import CostGuardError
+
+    return CostGuardError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -310,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except CostGuardError as exc:
+    except _cost_guard_error() as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_COST_GUARD
     return code

@@ -449,7 +449,7 @@ def test_equiv_whose_comparison_fails_reports_and_exits_2(monkeypatch, capsys):
     from nearfactor import EquivalenceReport
 
     report = EquivalenceReport(3, 5, 15, ((0, 0, 0),), False, 60, 60, True, (4,))
-    monkeypatch.setattr(nearfactor.cli, "build_equivalence_report", lambda s, t: report)
+    monkeypatch.setattr(nearfactor.equivalence, "build_equivalence_report", lambda s, t: report)
     code, out, err = run(capsys, "equiv", "--s", "3", "--t", "5")
     assert (code, err) == (2, "")
     assert json.loads(out) == {
