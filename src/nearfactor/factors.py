@@ -37,7 +37,9 @@ _NAMED_UNCOVERED = 10
 
 
 def make_edge(u: int, v: int) -> Edge:
-    """Canonical (min, max) form of an undirected edge; loops are rejected."""
+    """Canonical (min, max) form of an undirected edge; no booleans, no loops."""
+    if u.__class__ is bool or v.__class__ is bool:
+        raise ValueError(f"edge {reprlib.repr([u, v])} must have integer endpoints")
     u = operator.index(u)
     v = operator.index(v)
     if u == v:
@@ -52,15 +54,26 @@ def _not_bool(value, name: str):
     return value
 
 
+def _order(n: int) -> int:
+    """`n` as a graph order: an integer, not a boolean, and at least 3."""
+    n = operator.index(_not_bool(n, "n"))
+    if n < 3:
+        raise ValueError(f"graph order must be >= 3, got {n}")
+    return n
+
+
 class Factor(Record):
     """One (near-)one-factor: a set of edges on the vertices 0..n-1.
 
     Edges are stored canonically ((min, max), lexicographically sorted).
     `isolated` is the uncovered vertex (odd order only); `index` is an
     optional label, the modular sum k for factors built by this module.
-    Structural invariants beyond edge canonicalization are checked by
-    validate_factor, not by the constructor, so that externally supplied
-    (possibly broken) factors can still be represented and diagnosed.
+    The constructor checks n (an integer >= 3), each edge in turn (two
+    integer endpoints, no loop), then isolated and index, and raises on the
+    first defect; a boolean is refused wherever an integer belongs.
+    Structural invariants beyond that are checked by validate_factor, so
+    that externally supplied (possibly broken) factors can still be
+    represented and diagnosed.
     `partners` and `modular_index` are computed on first use and kept on
     the instance; they take no part in ==, hash or to_dict.
     """
@@ -77,15 +90,18 @@ class Factor(Record):
         isolated: int | None = None,
         index: int | None = None,
     ) -> None:
-        n = operator.index(n)
-        if n < 3:
-            raise ValueError(f"graph order must be >= 3, got {n}")
-        edges = tuple(sorted(make_edge(u, v) for u, v in edges))
+        n = _order(n)
+        canonical = []
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {reprlib.repr(e)} must have exactly two endpoints")
+            canonical.append(make_edge(e[0], e[1]))
+        canonical.sort()
         if isolated is not None:
-            isolated = operator.index(isolated)
+            isolated = operator.index(_not_bool(isolated, "isolated"))
         if index is not None:
-            index = operator.index(index)
-        vars(self).update(n=n, edges=edges, isolated=isolated, index=index)
+            index = operator.index(_not_bool(index, "index"))
+        vars(self).update(n=n, edges=tuple(canonical), isolated=isolated, index=index)
 
     @classmethod
     def _prebuilt(
@@ -147,26 +163,11 @@ class Factor(Record):
     def from_dict(cls, data: dict) -> "Factor":
         """The factor a to_dict() record describes.
 
-        Raises ValueError for an edge that does not have exactly two
-        endpoints and for a boolean where an integer belongs; other
-        malformed records raise KeyError, TypeError or IndexError.
+        It reads the fields and leaves every check to the constructor:
+        ValueError for a value the constructor refuses, and KeyError,
+        TypeError or IndexError for a malformed record.
         """
-        edges = []
-        for e in data["edges"]:
-            if len(e) != 2:
-                raise ValueError(
-                    f"edge {reprlib.repr(e)} must have exactly two endpoints"
-                )
-            u, v = e[0], e[1]
-            if u.__class__ is bool or v.__class__ is bool:
-                raise ValueError(f"edge {reprlib.repr(e)} must have integer endpoints")
-            edges.append((u, v))
-        return cls(
-            n=_not_bool(data["n"], "n"),
-            edges=tuple(edges),
-            isolated=_not_bool(data.get("isolated"), "isolated"),
-            index=_not_bool(data.get("index"), "index"),
-        )
+        return cls(data["n"], data["edges"], data.get("isolated"), data.get("index"))
 
 
 class Factorization(Record):
@@ -176,10 +177,7 @@ class Factorization(Record):
     factors: tuple[Factor, ...]
 
     def __init__(self, n: int, factors: tuple[Factor, ...] = ()) -> None:
-        n = operator.index(n)
-        if n < 3:
-            raise ValueError(f"graph order must be >= 3, got {n}")
-        vars(self).update(n=n, factors=tuple(factors))
+        vars(self).update(n=_order(n), factors=tuple(factors))
 
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild from the fields alone, so a copy
@@ -188,10 +186,7 @@ class Factorization(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "Factorization":
-        return cls(
-            n=_not_bool(data["n"], "n"),
-            factors=tuple(Factor.from_dict(f) for f in data["factors"]),
-        )
+        return cls(data["n"], tuple(map(Factor.from_dict, data["factors"])))
 
 
 class FactorVerdict(Record):
@@ -261,10 +256,8 @@ def build_modular_factor(n: int, k: int) -> Factor:
 
     Its isolated vertex is the unique v with (2*v) % n == k.
     """
-    n = operator.index(n)
-    k = operator.index(k)
-    if n < 3:
-        raise ValueError(f"graph order must be >= 3, got {n}")
+    n = _order(n)
+    k = operator.index(_not_bool(k, "index"))
     if n % 2 == 0:
         raise ValueError(f"modular near-one-factor requires odd order, got {n}")
     return _modular_factor(n, k, half_mod(k, n).value)

@@ -269,6 +269,15 @@ def test_verify_rejects_an_edge_with_extra_endpoints(tmp_path, capsys):
     assert err == "error: edge [1, 4, 3, 4] must have exactly two endpoints\n"
 
 
+def test_verify_reports_the_first_defect_of_a_factor(tmp_path, capsys):
+    fz = build_modular_factorization(5).to_dict()
+    fz["factors"][0]["edges"] = [[2, 2], [1, 4, 3]]  # a loop, then three endpoints
+    path = tmp_path / "two_defects.json"
+    path.write_text(json.dumps(fz))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: loop edge (2, 2) is not allowed\n")
+
+
 def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)

@@ -17,10 +17,18 @@ only when their set shows a duplicate.  On every valid
 input (the ones above, product families and even-order round robins, each
 also relabelled) and every corruption, both must give exactly what a frozen
 copy of the all-per-edge diagnosis (`_reference_problems`) gives.
+
+`Factor()` checks and canonicalises each edge in one pass, and `from_dict`
+only reads fields.  On modular-family JSON with one seeded defect of each
+kind, `Factorization.from_dict` must raise the exception, with the same
+text, or return the fields, that a frozen copy of the earlier two-pass
+parse (`_reference_factorization`) gives.
 """
 
 import json
+import operator
 import random
+import reprlib
 from itertools import chain, combinations, islice
 from pathlib import Path
 
@@ -345,3 +353,152 @@ _GK4 = _round_robin(4).factors
 )
 def test_invalid_input_keeps_its_messages(fz, problems):
     assert factorization_problems(fz) == problems
+
+
+def _reference_not_bool(value, name):
+    if value.__class__ is bool:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _reference_factor(data):
+    """Frozen two-pass parse of a factor record: (n, edges, isolated, index).
+
+    The first pass checks every edge's arity and booleans, then the three
+    fields' booleans; the second converts n, canonicalises every edge and
+    converts isolated and index.
+    """
+    edges = []
+    for e in data["edges"]:
+        if len(e) != 2:
+            raise ValueError(f"edge {reprlib.repr(e)} must have exactly two endpoints")
+        u, v = e[0], e[1]
+        if u.__class__ is bool or v.__class__ is bool:
+            raise ValueError(f"edge {reprlib.repr(e)} must have integer endpoints")
+        edges.append((u, v))
+    n = _reference_not_bool(data["n"], "n")
+    isolated = _reference_not_bool(data.get("isolated"), "isolated")
+    index = _reference_not_bool(data.get("index"), "index")
+    n = operator.index(n)
+    if n < 3:
+        raise ValueError(f"graph order must be >= 3, got {n}")
+    canonical = []
+    for u, v in edges:
+        u, v = operator.index(u), operator.index(v)
+        if u == v:
+            raise ValueError(f"loop edge ({u}, {v}) is not allowed")
+        canonical.append((u, v) if u < v else (v, u))
+    if isolated is not None:
+        isolated = operator.index(isolated)
+    if index is not None:
+        index = operator.index(index)
+    return n, tuple(sorted(canonical)), isolated, index
+
+
+def _reference_factorization(data):
+    """Frozen two-pass parse of a factorization record: (n, factor fields)."""
+    n = _reference_not_bool(data["n"], "n")
+    factors = tuple(_reference_factor(f) for f in data["factors"])
+    n = operator.index(n)
+    if n < 3:
+        raise ValueError(f"graph order must be >= 3, got {n}")
+    return n, factors
+
+
+def _parsed(data):
+    fz = Factorization.from_dict(data)
+    return fz.n, tuple((f.n, f.edges, f.isolated, f.index) for f in fz.factors)
+
+
+def _outcome(parse, text):
+    """("ok", fields) or (exception type, its text) for parse(json.loads(text))."""
+    try:
+        return "ok", parse(json.loads(text))
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def _parse_corruptions(rng, text):
+    """(kind, JSON text) of the record `text` with one defect, for every kind."""
+    n = json.loads(text)["n"]
+
+    def one(change):
+        data = json.loads(text)
+        f = rng.choice(data["factors"])
+        change(data, f, f["edges"], rng.randrange(len(f["edges"])))
+        return json.dumps(data)
+
+    edge_defects = {
+        "three endpoints": lambda u, v: [u, v, rng.randrange(n)],
+        "one endpoint": lambda u, v: [rng.choice([u, v])],
+        "boolean endpoint": lambda u, v: rng.choice([[True, v], [u, False]]),
+        "string endpoint": lambda u, v: rng.choice([[str(u), v], [u, str(v)]]),
+        "float endpoint": lambda u, v: rng.choice([[float(u), v], [u, float(v)]]),
+        "null endpoint": lambda u, v: rng.choice([[None, v], [u, None]]),
+        "loop edge": lambda u, v: rng.choice([[u, u], [v, v]]),
+        "dict edge": lambda u, v: {"0": u, "1": v},
+        "int edge": lambda u, v: u,
+        "string edge": lambda u, v: rng.choice([f"{u}{v}", f"{u},{v}", "ab"]),
+    }
+    for kind, defect in edge_defects.items():
+
+        def change(data, f, edges, i):
+            edges[i] = defect(*edges[i])
+
+        yield kind, one(change)
+    for field in ("n", "isolated", "index", "top-level n"):
+        out_of_range = [-1, 0, 2] if field.endswith("n") else [-1, n, n + 2]
+        values = {
+            "boolean": rng.choice([True, False]),
+            "string": str(rng.randrange(n)),
+            "float": float(rng.randrange(n)),
+            "out-of-range int": rng.choice(out_of_range),
+        }
+        for name, value in values.items():
+
+            def change(data, f, edges, i):
+                (data if field == "top-level n" else f)[field.split()[-1]] = value
+
+            yield f"{field} {name}", one(change)
+
+    def missing(data, f, edges, i):
+        key = rng.choice(["n", "edges", "isolated", "index", "top-level n", "factors"])
+        if key in ("top-level n", "factors"):
+            del data[key.split()[-1]]
+        else:
+            del f[key]
+
+    yield "missing key", one(missing)
+
+    def factor_list(data, f, edges, i):
+        data["factors"][data["factors"].index(f)] = rng.choice([edges, list(f.values())])
+
+    yield "factor a list", one(factor_list)
+
+    def edges_dict(data, f, edges, i):
+        f["edges"] = rng.choice([{str(j): e for j, e in enumerate(edges)}, {"uv": edges}])
+
+    yield "edges a dict", one(edges_dict)
+
+    def edges_int(data, f, edges, i):
+        f["edges"] = len(edges)
+
+    yield "edges an int", one(edges_int)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_pass_parse_agrees_with_the_two_pass_reference(seed):
+    """One defect of each kind: the same exception and text, or equal fields."""
+    rng = random.Random(seed)
+    kinds, outcomes = set(), set()
+    for n in (5, 7, 11):
+        text = json.dumps(build_modular_factorization(n).to_dict())
+        assert _outcome(_parsed, text) == _outcome(_reference_factorization, text)
+        for _ in range(3):
+            for kind, bad in _parse_corruptions(rng, text):
+                got = _outcome(_parsed, bad)
+                assert got == _outcome(_reference_factorization, bad), (kind, bad)
+                kinds.add(kind)
+                outcomes.add(got[0])
+    assert len(kinds) == 30
+    assert outcomes == {"ok", ValueError, TypeError, KeyError}

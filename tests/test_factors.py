@@ -223,20 +223,54 @@ def test_factor_from_dict_requires_two_endpoints_per_edge(edge, shown):
 @pytest.mark.parametrize("field", ["n", "isolated", "index"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_factor_from_dict_rejects_booleans(field, flag):
+    """from_dict, Factor(), Factorization() and build_modular_factor alike."""
     data = build_modular_factor(5, 1).to_dict()
     data[field] = flag
-    with pytest.raises(ValueError) as excinfo:
-        Factor.from_dict(data)
-    assert str(excinfo.value) == f"{field} must be an integer, got {flag}"
+    builds = [lambda: Factor.from_dict(data), lambda: Factor(**data)]
+    if field == "n":
+        builds += [lambda: Factorization(flag), lambda: build_modular_factor(flag, 1)]
+    if field == "index":
+        builds.append(lambda: build_modular_factor(5, flag))
+    for build in builds:
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == f"{field} must be an integer, got {flag}"
 
 
 @pytest.mark.parametrize("edge", [[True, 4], [2, True], [False, 3], [True, False]])
 def test_factor_from_dict_rejects_boolean_endpoints(edge):
+    """from_dict, Factor() with a list or tuple edge and make_edge alike."""
     data = build_modular_factor(5, 0).to_dict()
     data["edges"][0] = edge
-    with pytest.raises(ValueError) as excinfo:
-        Factor.from_dict(data)
-    assert str(excinfo.value) == f"edge {edge!r} must have integer endpoints"
+    fz = {"n": 5, "factors": [data]}
+    for build in (
+        lambda: Factor.from_dict(data),
+        lambda: Factorization.from_dict(fz),
+        lambda: Factor(**data),
+        lambda: Factor(5, [tuple(edge)], 0),
+        lambda: make_edge(*edge),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == f"edge {edge!r} must have integer endpoints"
+
+
+def test_factor_reports_the_first_of_several_defects():
+    """n first, then each edge in order, then isolated, then index."""
+    data = {"n": True, "edges": [[2, 2], [6, 1], [1, 2, 3]]}
+    data.update(isolated=False, index=True)
+    for message, fix in (
+        ("n must be an integer, got True", {"n": 7}),
+        ("loop edge (2, 2) is not allowed", {"edges": [[6, 1], [1, 2, 3]]}),
+        ("edge [1, 2, 3] must have exactly two endpoints", {"edges": [[6, 1]]}),
+        ("isolated must be an integer, got False", {"isolated": 0}),
+        ("index must be an integer, got True", {"index": 0}),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            Factor.from_dict(data)
+        assert str(excinfo.value) == message
+        data.update(fix)
+    assert Factor.from_dict(data) == Factor(7, ((1, 6),), 0, 0)
 
 
 def test_factorization_from_dict_rejects_booleans():

@@ -744,6 +744,12 @@ def test_exact_c_9_full_enumeration_reaches_the_maximum():
     assert exact_c(9, expensive=True) == 36
 
 
+def test_a_misspelt_marker_is_refused():
+    """A misspelt `expensive` cannot slip the sweep above into the default suite."""
+    with pytest.raises(pytest.fail.Exception, match="'expensiv' not found in `markers`"):
+        pytest.mark.expensiv
+
+
 def test_agreement_is_false_when_the_deciders_differ(monkeypatch):
     monkeypatch.setattr(oracle, "independent_hamiltonicity_check", lambda f, g: False)
     assert not oracle_agrees_with_classification(build_modular_factorization(5))
