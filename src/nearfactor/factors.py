@@ -270,8 +270,8 @@ def build_modular_factor_even(n: int, k: int) -> Factor:
     Even k: the pair {k/2, (n+k)/2} (the two solutions of 2*i == k mod n)
     plus every pair {i, j} of the remaining vertices with (i + j) % n == k.
     """
-    n = operator.index(n)
-    k = operator.index(k)
+    n = operator.index(_not_bool(n, "n"))
+    k = operator.index(_not_bool(k, "index"))
     if n < 4 or n % 2 == 1:
         raise ValueError(f"modular one-factor requires even order >= 4, got {n}")
     return _modular_factor(n, k, None)
@@ -301,7 +301,7 @@ def build_modular_factorization(n: int) -> Factorization:
 
 def factor_index_of_edge(n: int, e: Edge) -> Residue:
     """Index of the unique modular factor of odd-order K_n containing edge e."""
-    n = operator.index(n)
+    n = operator.index(_not_bool(n, "n"))
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modular factor lookup requires odd order >= 3, got {n}")
     u, v = make_edge(e[0], e[1])

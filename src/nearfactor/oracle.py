@@ -23,7 +23,7 @@ from operator import lshift, or_
 from ._record import Record, to_json
 from .factors import Factor, Factorization
 from .numtheory import totient
-from .pairing import _reached, classify_pair, count_perfect_pairs
+from .pairing import _hops, _reached, classify_pair, count_perfect_pairs
 
 __all__ = [
     "CostGuardError",
@@ -133,14 +133,16 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     # Of m edges, the one at position pos is bit m - 1 - pos of a factor's
     # edge mask, so disjoint masks sort, largest first, by first edge: the
     # emitted order.  The mask alone determines the factor, so it is the key of
-    # `built`, which gives the factor's slot.  made[slot] is the factor and
-    # perfect[slot] the bitmask of the slots it forms a perfect pair with.
+    # `built`, which gives the factor's slot.  made[slot] is the factor,
+    # tables[slot] its hop table and perfect[slot] the bitmask of the slots it
+    # forms a perfect pair with.
     marks = [1 << pos for pos in reversed(range(len(edge_list)))]
     at_row = edge_list.index((row, row + 1))
     row_edges = slice(at_row, at_row + n - tail)
     tail_edges = slice(row_edges.stop, None)
     built: dict[int, int] = {}
     made: list[Factor] = []
+    tables: list[list[int]] = []
     perfect: list[int] = []
 
     def build(mask: int) -> int:
@@ -149,19 +151,25 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         for u, v in edges:
             mate[u] = v
             mate[v] = u
-        # _reached needs a well-formed array; a double cover leaves two fixed points.
+        # _reached decides a pair only from the one uncovered vertex of a factor
+        # of (n - 1) / 2 edges; a double cover leaves two fixed points.
         fixed = [v for v in range(n) if mate[v] == v]
         if len(edges) != n // 2 or len(fixed) != 1:
             raise RuntimeError(f"the search built a malformed factor: {edges}")
         c = fixed[0]
         f = Factor._prebuilt(n, mate, c)
         b = len(made)
+        hops = _hops(f)
+        earlier = [
+            a for other, a in built.items() if not other & mask and made[a].isolated != c
+        ]
         mine = 0
-        for other, a in built.items():
-            if not other & mask and made[a].isolated != c and _reached(made[a], f):
+        for a, reached in zip(earlier, _reached(hops, [tables[a] for a in earlier], c, n)):
+            if reached:
                 mine |= 1 << a
                 perfect[a] |= 1 << b
         made.append(f)
+        tables.append(hops)
         perfect.append(mine)
         built[mask] = b
         return b

@@ -11,8 +11,8 @@ the union of the two perfect matchings is a single Hamiltonian cycle.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
-from itertools import combinations, cycle, starmap
+from collections.abc import Iterable, Iterator
+from itertools import chain, combinations, cycle
 from math import gcd
 
 from ._record import Record
@@ -86,7 +86,9 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
 
     The walk stops at a vertex with no continuing edge in the factor whose
     turn it is (for well-formed factors this is g's isolated vertex), or at
-    the start, the one vertex it can revisit (see `_reached`).
+    the start, the one vertex it can revisit.  It records every vertex and
+    edge as the witness; the counting kernel `_reached` reaches the same
+    verdict on hop tables and records nothing.
     """
     n = _check_same_order(f, g)
     if n % 2 == 0:
@@ -194,39 +196,51 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
     return PairClassification(n=n, perfect=len(cycle) == n, cycle=tuple(cycle))
 
 
-def _reached(f: Factor, g: Factor) -> bool:
-    """Whether the walk from f's isolated vertex reaches every vertex.
+def _hops(f: Factor) -> list[int]:
+    """f's hop table: its partner array with n for None, then n -> n."""
+    n = f.n
+    hops = [n if p is None else p for p in f.partners]
+    hops.append(n)
+    return hops
 
-    The walk takes a g-edge, then an f-edge, and so on, along the two
-    partner arrays.  Precondition, which `_walkable` checks: f and g share
-    one odd order and have partner arrays that build, and f's isolated
-    vertex is in range and uncovered.  The walk can then revisit only the
-    start, which f cannot lead back to and g only from g.partners[start],
-    revisited first; so every step reaches a new vertex, and the walk is a
-    Hamiltonian path iff it makes (n - 1) / 2 g-then-f double steps
-    without a missing edge.
+
+def _reached(
+    pf: list[int], tables: Iterable[list[int]], start: int, n: int
+) -> Iterator[bool]:
+    """For each hop table pg, whether the walk from `start` reaches every vertex.
+
+    The walk takes a g-edge, then an f-edge, and so on, along the hop
+    tables pg and pf (`_hops`).  A missing edge sends it to n, where it
+    stays, so a double step is `pf[pg[v]]` with no test; the walk tests
+    for n once per four double steps, which still ends the short walks of
+    most non-perfect pairs early.  Precondition, which `_walkable` checks:
+    the factors share the odd order n and have partner arrays that build,
+    and `start` is f's isolated vertex, in range and uncovered.  The walk
+    can then revisit only the start, which f cannot lead back to and g
+    only from pg[start], revisited first; so every step reaches a new
+    vertex, and the walk is a Hamiltonian path iff it makes (n - 1) / 2
+    g-then-f double steps without a missing edge.
     """
-    pf = f.partners
-    pg = g.partners
-    v = f.isolated
-    k = len(pf) // 2
-    while k:
-        v = pg[v]
-        if v is None:
-            return False
-        v = pf[v]
-        if v is None:
-            return False
-        k -= 1
-    return True
+    blocks = range((n - 1) // 8)
+    rest = range((n - 1) // 2 % 4)
+    for pg in tables:
+        v = start
+        for _ in blocks:
+            v = pf[pg[pf[pg[pf[pg[pf[pg[v]]]]]]]]
+            if v == n:
+                break
+        else:
+            for _ in rest:
+                v = pf[pg[v]]
+        yield v != n
 
 
 def _walkable(fz: Factorization) -> bool:
     """Whether `_reached` decides every pair of factors as classify_pair would.
 
     It does when the factors share one odd order and have pairwise distinct
-    edge lists, partner arrays that build and isolated vertices that are
-    set, in range and uncovered.
+    edge lists, partner arrays that build (so each has a hop table) and
+    isolated vertices that are set, in range and uncovered.
     """
     factors = fz.factors
     n = factors[0].n if factors else 0
@@ -246,14 +260,19 @@ def _walkable(fz: Factorization) -> bool:
 def _pair_verdicts(fz: Factorization) -> Iterator[bool]:
     """Whether each pair of factors is perfect, in `combinations` order.
 
-    The witness-free walk on the factors when `_walkable` holds; otherwise
-    every pair goes through classify_pair, so the error raised is the one
-    of the first failing pair.
+    When `_walkable` holds, each factor's hop table is built once and
+    `_reached` walks every pair over the tables; otherwise every pair goes
+    through classify_pair, so the error raised is the one of the first
+    failing pair.
     """
-    pairs = combinations(fz.factors, 2)
-    if _walkable(fz):
-        return starmap(_reached, pairs)
-    return (classify_pair(f, g).perfect for f, g in pairs)
+    factors = fz.factors
+    if not _walkable(fz):
+        return (classify_pair(f, g).perfect for f, g in combinations(factors, 2))
+    n = factors[0].n
+    tables = list(map(_hops, factors))
+    return chain.from_iterable(
+        _reached(tables[i], tables[i + 1 :], f.isolated, n) for i, f in enumerate(factors)
+    )
 
 
 def count_perfect_pairs(fz: Factorization) -> int:
@@ -264,8 +283,8 @@ def count_perfect_pairs(fz: Factorization) -> int:
     factorization from enumerate_factorizations carries the count its run
     took from the verdicts it decided when it built each factor; any other
     is the sum of `_pair_verdicts`, which checks once that `_walkable`
-    holds and then walks the factors themselves, or else classifies pair
-    by pair.
+    holds, builds each factor's hop table once and walks every pair over
+    the tables, or else classifies pair by pair.
     """
     count = vars(fz).get("_perfect_pairs")  # set by enumerate_factorizations
     if count is None:

@@ -223,14 +223,22 @@ def test_factor_from_dict_requires_two_endpoints_per_edge(edge, shown):
 @pytest.mark.parametrize("field", ["n", "isolated", "index"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_factor_from_dict_rejects_booleans(field, flag):
-    """from_dict, Factor(), Factorization() and build_modular_factor alike."""
+    """from_dict, Factor(), Factorization() and the modular builders alike."""
     data = build_modular_factor(5, 1).to_dict()
     data[field] = flag
     builds = [lambda: Factor.from_dict(data), lambda: Factor(**data)]
     if field == "n":
-        builds += [lambda: Factorization(flag), lambda: build_modular_factor(flag, 1)]
+        builds += [
+            lambda: Factorization(flag),
+            lambda: build_modular_factor(flag, 1),
+            lambda: build_modular_factor_even(flag, 1),
+            lambda: factor_index_of_edge(flag, (0, 1)),
+        ]
     if field == "index":
-        builds.append(lambda: build_modular_factor(5, flag))
+        builds += [
+            lambda: build_modular_factor(5, flag),
+            lambda: build_modular_factor_even(4, flag),
+        ]
     for build in builds:
         with pytest.raises(ValueError) as excinfo:
             build()
@@ -239,7 +247,8 @@ def test_factor_from_dict_rejects_booleans(field, flag):
 
 @pytest.mark.parametrize("edge", [[True, 4], [2, True], [False, 3], [True, False]])
 def test_factor_from_dict_rejects_boolean_endpoints(edge):
-    """from_dict, Factor() with a list or tuple edge and make_edge alike."""
+    """from_dict, Factor() with a list or tuple edge, make_edge and
+    factor_index_of_edge alike."""
     data = build_modular_factor(5, 0).to_dict()
     data["edges"][0] = edge
     fz = {"n": 5, "factors": [data]}
@@ -249,6 +258,7 @@ def test_factor_from_dict_rejects_boolean_endpoints(edge):
         lambda: Factor(**data),
         lambda: Factor(5, [tuple(edge)], 0),
         lambda: make_edge(*edge),
+        lambda: factor_index_of_edge(5, edge),
     ):
         with pytest.raises(ValueError) as excinfo:
             build()

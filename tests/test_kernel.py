@@ -8,7 +8,7 @@ factors, well-formed or not, and must build no witness when it walks.
 import json
 import random
 import tracemalloc
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,7 @@ from nearfactor.factors import (
     factorization_problems,
 )
 from nearfactor.oracle import enumerate_factorizations, independent_hamiltonicity_check
-from nearfactor.pairing import classify_pair, count_perfect_pairs
+from nearfactor.pairing import TERMINAL_EARLY, classify_pair, count_perfect_pairs
 from nearfactor.product import product_factorization
 
 K9_PERFECT = Path(__file__).parent / "data" / "k9_perfect.json"
@@ -243,9 +243,29 @@ def _kernel_cases():
 
 
 def test_kernel_matches_classify_pair_on_whole_families():
-    """The countdown walk decides every ordered pair as the witness walk does."""
+    """The hop-table walk decides every ordered pair as the witness walk does.
+
+    The kernel tests for a missing edge once per block of four double
+    steps, then takes the (n - 1) / 2 % 4 double steps left over.  The
+    cases cover each of those four remainders, and walks that meet a
+    missing edge in each of the four double steps of a block.
+    """
+    remainders = set()
+    stops = set()
     for name, fz in _kernel_cases():
         assert pairing._walkable(fz), name
-        for f, g in permutations(fz.factors, 2):
-            perfect = classify_pair(f, g).perfect
-            assert pairing._reached(f, g) == perfect, (name, f, g)
+        n = fz.n
+        remainders.add((n - 1) // 2 % 4)
+        tables = [pairing._hops(f) for f in fz.factors]
+        for i, f in enumerate(fz.factors):
+            others = fz.factors[:i] + fz.factors[i + 1 :]
+            verdicts = [classify_pair(f, g) for g in others]
+            reached = pairing._reached(tables[i], tables[:i] + tables[i + 1 :], f.isolated, n)
+            assert list(reached) == [v.perfect for v in verdicts], (name, f)
+            # A walk that stops early meets its missing edge in double step
+            # len(edges) // 2, counted from 0.
+            for walk in (v.witness for v in verdicts):
+                step = len(walk.edges) // 2
+                if walk.terminal == TERMINAL_EARLY and step < (n - 1) // 8 * 4:
+                    stops.add(step % 4)
+    assert remainders == stops == {0, 1, 2, 3}

@@ -478,9 +478,11 @@ def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
     walks = []
     reached = oracle._reached
 
-    def counted(*args):
-        walks.append(args)
-        return reached(*args)
+    def counted(pf, tables, start, n):
+        tables = list(tables)
+        for pg, verdict in zip(tables, reached(pf, tables, start, n)):
+            walks.append((tuple(pf), tuple(pg)))
+            yield verdict
 
     def refuse(*args):
         raise AssertionError("pair walked while counting")
@@ -496,8 +498,11 @@ def test_oracle_walks_each_distinct_pair_once_per_run(monkeypatch):
             counts.append(count_perfect_pairs(fz))
             factors.update(fz.factors)
         assert counts == expected
+        # A hop table is the factor's partner array, so it names the factor.
+        factor_of = {tuple(pairing._hops(f)): f for f in factors}
+        assert len(factor_of) == len(factors)
         pairs = _disjoint_pairs(factors)
-        walked = [frozenset(pair) for pair in walks]
+        walked = [frozenset(map(factor_of.__getitem__, pair)) for pair in walks]
         assert len(walked) == len(set(walked)) == len(pairs) == disjoint
         assert set(walked) == pairs
         walks.clear()
