@@ -238,13 +238,13 @@ def _reached(
 def _walkable(fz: Factorization) -> bool:
     """Whether `_reached` decides every pair of factors as classify_pair would.
 
-    It does when the factors share one odd order and have pairwise distinct
-    edge lists, partner arrays that build (so each has a hop table) and
-    isolated vertices that are set, in range and uncovered.
+    It does when the factors share one odd order, have partner arrays that
+    build (so each has a hop table) and differ pairwise, and have isolated
+    vertices that are set, in range and uncovered.
     """
     factors = fz.factors
     n = factors[0].n if factors else 0
-    if n % 2 == 0 or len({f.edges for f in factors}) != len(factors):
+    if n % 2 == 0:
         return False
     for f in factors:
         start = f.isolated
@@ -254,7 +254,7 @@ def _walkable(fz: Factorization) -> bool:
             return False
         if f.n != n or start not in range(n) or partners[start] is not None:
             return False
-    return True
+    return len({f.partners for f in factors}) == len(factors)
 
 
 def _pair_verdicts(fz: Factorization) -> Iterator[bool]:

@@ -17,6 +17,7 @@ from ._record import Record
 from .factors import (
     Factor,
     Factorization,
+    _not_bool,
     build_modular_factorization,
     factorization_problems,
 )
@@ -39,7 +40,13 @@ PairVertex = tuple[int, int]
 
 
 class ProductFactor(Record):
-    """A near-one-factor of the complete graph on the s*t pair vertices."""
+    """A near-one-factor of the complete graph on the s*t pair vertices.
+
+    build_product_factor keeps the positional partner array it built, the
+    isolated vertex mapped to itself, beside the fields; flattened() reads
+    the Factor off a copy of it.  A record built field by field has no
+    array, and flattened() checks its edges through Factor().
+    """
 
     s: int
     t: int
@@ -47,6 +54,7 @@ class ProductFactor(Record):
     l: int
     edges: tuple[tuple[PairVertex, PairVertex], ...]
     isolated: PairVertex
+    _mate = None  # not a field, so not in ==, hash, repr or to_dict
 
     def flatten_vertex(self, pv: PairVertex) -> int:
         """Positional encoding of a pair vertex: (i, j) -> i * t + j."""
@@ -54,13 +62,10 @@ class ProductFactor(Record):
 
     def flattened(self) -> Factor:
         """The same factor on K_{s*t} under the positional vertex encoding."""
-        flat = self.flatten_vertex
-        return Factor(
-            n=self.s * self.t,
-            edges=tuple((flat(a), flat(b)) for a, b in self.edges),
-            isolated=flat(self.isolated),
-            index=None,
-        )
+        n, flat = self.s * self.t, self.flatten_vertex
+        if self._mate is not None:  # _prebuilt edits the array it is given
+            return Factor._prebuilt(n, self._mate.copy(), flat(self.isolated))
+        return Factor(n, tuple((flat(a), flat(b)) for a, b in self.edges), flat(self.isolated))
 
 
 def _check_orders(s: int, t: int) -> tuple[int, int]:
@@ -84,8 +89,8 @@ def build_product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
     is (half of k mod s, half of l mod t).
     """
     s, t = _check_orders(s, t)
-    k = operator.index(k)
-    l = operator.index(l)
+    k = operator.index(_not_bool(k, "first index"))
+    l = operator.index(_not_bool(l, "second index"))
     if not 0 <= k < s:
         raise ValueError(f"first index {k} not in [0, {s})")
     if not 0 <= l < t:
@@ -94,7 +99,9 @@ def build_product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
     fh = [(k - i) % s for i in range(s)]
     partner = _partner_product(fh, [(l - j) % t for j in range(t)], t)
     edges = tuple((divmod(x, t), divmod(y, t)) for x, y in enumerate(partner) if x < y)
-    return ProductFactor(s=s, t=t, k=k, l=l, edges=edges, isolated=iso)
+    pf = ProductFactor(s=s, t=t, k=k, l=l, edges=edges, isolated=iso)
+    vars(pf)["_mate"] = partner
+    return pf
 
 
 def product_factorization(a: Factorization, b: Factorization) -> Factorization:
@@ -132,8 +139,11 @@ def is_perfect_product_pair(
 ) -> bool:
     """Two-gcd criterion: both index differences coprime to their modulus."""
     s, t = _check_orders(s, t)
-    k, l = (operator.index(kl[0]) % s, operator.index(kl[1]) % t)
-    k2, l2 = (operator.index(kl2[0]) % s, operator.index(kl2[1]) % t)
+    (k, l), (k2, l2) = (
+        (operator.index(_not_bool(i, "first index")) % s,
+         operator.index(_not_bool(j, "second index")) % t)
+        for i, j in (kl, kl2)
+    )
     if (k, l) == (k2, l2):
         raise ValueError("product factor index pairs must be distinct")
     return gcd((k - k2) % s, s) == 1 and gcd((l - l2) % t, t) == 1

@@ -182,6 +182,7 @@ def test_count_fast_path_edge_cases():
     unset = Factor(n=5, edges=f.edges)
     for factors, message in [
         ((f, g, f), "factors must be distinct"),
+        ((f, g, Factor(f.n, f.edges, f.isolated)), "factors must be distinct"),
         ((f, h), "mismatched graph orders: 5 vs 7"),
         ((unset, g), "both factors need an isolated vertex (odd order)"),
     ]:

@@ -18,6 +18,7 @@ from nearfactor.numtheory import half_mod, totient
 from nearfactor.oracle import enumerate_factorizations, independent_hamiltonicity_check
 from nearfactor.pairing import count_perfect_pairs
 from nearfactor.product import (
+    ProductFactor,
     build_product_factor,
     count_perfect_product_pairs,
     flatten_product_factor,
@@ -186,6 +187,55 @@ def test_product_factorization_of_modular_families(s, t):
     for got, want in zip(fz.factors, expected):
         assert got == want
         assert got.partners == want.partners
+
+
+@pytest.mark.parametrize("s, t", [(3, 3), (3, 5), (5, 15), (15, 5), (7, 9), (9, 7)])
+def test_flattened_equals_the_checking_rebuild(s, t):
+    for k in range(s):
+        for l in range(t):
+            pf = build_product_factor(s, t, k, l)
+            flat = pf.flatten_vertex
+            ref = Factor(
+                s * t, [(flat(a), flat(b)) for a, b in pf.edges], flat(pf.isolated)
+            )
+            f = pf.flattened()
+            assert f == ref and hash(f) == hash(ref) and f.to_dict() == ref.to_dict()
+            assert vars(f)["partners"] == ref.partners
+            again = pf.flattened()  # the record keeps its array unedited
+            assert again == ref and vars(again)["partners"] == ref.partners
+            # the kept array is no field of the record
+            fields = ProductFactor(s, t, k, l, pf.edges, pf.isolated)
+            assert pf == fields and hash(pf) == hash(fields)
+            assert repr(pf) == repr(fields) and pf.to_dict() == fields.to_dict()
+
+
+def test_a_record_built_field_by_field_flattens_through_factor():
+    one_edge = ProductFactor(3, 3, 0, 1, (((0, 0), (0, 1)),), (0, 2))
+    f = one_edge.flattened()
+    assert f == Factor(9, ((0, 1),), 2)
+    assert "partners" not in vars(f)
+    loop = ProductFactor(3, 3, 0, 1, (((0, 0), (0, 0)),), (0, 2))
+    with pytest.raises(ValueError, match="loop edge"):
+        loop.flattened()
+
+
+def test_product_indices_refuse_booleans():
+    for k, l, message in [
+        (True, 0, "first index must be an integer, got True"),
+        (0, False, "second index must be an integer, got False"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            build_product_factor(3, 5, k, l)
+        assert str(excinfo.value) == message
+    for kl, kl2, message in [
+        ((True, 0), (0, 1), "first index must be an integer, got True"),
+        ((0, True), (1, 1), "second index must be an integer, got True"),
+        ((0, 0), (False, 1), "first index must be an integer, got False"),
+        ((0, 0), (1, False), "second index must be an integer, got False"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            is_perfect_product_pair(3, 5, kl, kl2)
+        assert str(excinfo.value) == message
 
 
 def test_product_factors_equal_their_rebuild_from_edges():
