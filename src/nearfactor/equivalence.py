@@ -9,11 +9,9 @@ n * phi(n) / 2 == 2 * (s * phi(s) / 2) * (t * phi(t) / 2) for n = s * t.
 
 from __future__ import annotations
 
-import operator
-
 from ._record import Record
 from .factors import build_modular_factor
-from .numtheory import _check_coprime, totient
+from .numtheory import _check_coprime, _integer, totient
 from .product import _check_orders, build_product_factor, product_bound
 
 __all__ = [
@@ -42,7 +40,7 @@ class EquivalenceReport(Record):
 def crt_vertex_map(v: int, s: int, t: int) -> tuple[int, int]:
     """Vertex of K_{st} -> pair vertex: v -> (v % s, v % t); a bijection."""
     s, t = _check_coprime(s, t)
-    v = operator.index(v)
+    v = _integer(v, "v")
     if not 0 <= v < s * t:
         raise ValueError(f"vertex {v} not in [0, {s * t})")
     return (v % s, v % t)
@@ -51,7 +49,7 @@ def crt_vertex_map(v: int, s: int, t: int) -> tuple[int, int]:
 def map_factor_index(p: int, s: int, t: int) -> tuple[int, int]:
     """Modular factor index of K_{st} -> product factor index pair."""
     s, t = _check_coprime(s, t)
-    p = operator.index(p) % (s * t)
+    p = _integer(p, "p") % (s * t)
     return (p % s, p % t)
 
 
@@ -63,7 +61,7 @@ def verify_factor_equality(p: int, s: int, t: int) -> bool:
     >= 3; p is taken mod s*t.
     """
     s, t = _check_coprime(s, t)
-    p = operator.index(p) % (s * t)
+    p = _integer(p, "p") % (s * t)
     direct = build_modular_factor(s * t, p)
     prod = build_product_factor(s, t, p % s, p % t)
     mapped = set()

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain, islice
 
 from ._record import Record
-from .numtheory import Residue, half_mod
+from .numtheory import Residue, _integer, half_mod
 
 __all__ = [
     "Edge",
@@ -47,16 +47,9 @@ def make_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _not_bool(value, name: str):
-    """`value`, refused if it is a boolean: operator.index(True) == 1."""
-    if value.__class__ is bool:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _order(n: int) -> int:
     """`n` as a graph order: an integer, not a boolean, and at least 3."""
-    n = operator.index(_not_bool(n, "n"))
+    n = _integer(n, "n")
     if n < 3:
         raise ValueError(f"graph order must be >= 3, got {n}")
     return n
@@ -98,9 +91,9 @@ class Factor(Record):
             canonical.append(make_edge(e[0], e[1]))
         canonical.sort()
         if isolated is not None:
-            isolated = operator.index(_not_bool(isolated, "isolated"))
+            isolated = _integer(isolated, "isolated")
         if index is not None:
-            index = operator.index(_not_bool(index, "index"))
+            index = _integer(index, "index")
         vars(self).update(n=n, edges=tuple(canonical), isolated=isolated, index=index)
 
     @classmethod
@@ -257,7 +250,7 @@ def build_modular_factor(n: int, k: int) -> Factor:
     Its isolated vertex is the unique v with (2*v) % n == k.
     """
     n = _order(n)
-    k = operator.index(_not_bool(k, "index"))
+    k = _integer(k, "index")
     if n % 2 == 0:
         raise ValueError(f"modular near-one-factor requires odd order, got {n}")
     return _modular_factor(n, k, half_mod(k, n).value)
@@ -270,8 +263,8 @@ def build_modular_factor_even(n: int, k: int) -> Factor:
     Even k: the pair {k/2, (n+k)/2} (the two solutions of 2*i == k mod n)
     plus every pair {i, j} of the remaining vertices with (i + j) % n == k.
     """
-    n = operator.index(_not_bool(n, "n"))
-    k = operator.index(_not_bool(k, "index"))
+    n = _integer(n, "n")
+    k = _integer(k, "index")
     if n < 4 or n % 2 == 1:
         raise ValueError(f"modular one-factor requires even order >= 4, got {n}")
     return _modular_factor(n, k, None)
@@ -294,16 +287,17 @@ def _modular_factor(n: int, k: int, isolated: int | None) -> Factor:
 
 def build_modular_factorization(n: int) -> Factorization:
     """All n modular near-one-factors of odd-order K_n, in index order."""
-    return Factorization(
-        n=n, factors=tuple(build_modular_factor(n, k) for k in range(operator.index(n)))
-    )
+    n = _order(n)
+    return Factorization(n=n, factors=tuple(build_modular_factor(n, k) for k in range(n)))
 
 
 def factor_index_of_edge(n: int, e: Edge) -> Residue:
     """Index of the unique modular factor of odd-order K_n containing edge e."""
-    n = operator.index(_not_bool(n, "n"))
+    n = _integer(n, "n")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modular factor lookup requires odd order >= 3, got {n}")
+    if len(e) != 2:
+        raise ValueError(f"edge {reprlib.repr(e)} must have exactly two endpoints")
     u, v = make_edge(e[0], e[1])
     if not 0 <= u < n or not 0 <= v < n:
         raise ValueError(f"edge ({u}, {v}) out of range for order {n}")

@@ -17,6 +17,13 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str) -> int:
+    """The library's one integer check: operator.index, refusing booleans."""
+    if value.__class__ is bool:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 class Residue(Record):
     """An integer stored normalized into [0, modulus)."""
 
@@ -24,6 +31,8 @@ class Residue(Record):
     modulus: int
 
     def __init__(self, value: int, modulus: int) -> None:
+        value = _integer(value, "value")
+        modulus = _integer(modulus, "modulus")
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
         if not 0 <= value < modulus:
@@ -39,12 +48,12 @@ class Residue(Record):
 
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of |a| and |b|, with gcd(0, 0) = 0."""
-    return math.gcd(operator.index(a), operator.index(b))
+    return math.gcd(_integer(a, "a"), _integer(b, "b"))
 
 
 def totient(n: int) -> int:
     """Count of integers in [1, n] coprime to n, via trial-division factoring."""
-    n = operator.index(n)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"totient requires n >= 1, got {n}")
     result = n
@@ -66,10 +75,10 @@ def mod_inverse(r: int, n: int) -> Residue:
 
     Raises ValueError ("no inverse") when gcd(r, n) != 1.
     """
-    n = operator.index(n)
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    r = operator.index(r)
+    r = _integer(r, "r")
     try:
         x = pow(r, -1, n)
     except ValueError:
@@ -79,15 +88,15 @@ def mod_inverse(r: int, n: int) -> Residue:
 
 def half_mod(k: int, n: int) -> Residue:
     """Half of k modulo odd n: the unique x in [0, n) with (2 * x) % n == k % n."""
-    n = operator.index(n)
+    n = _integer(n, "n")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"half_mod requires odd n >= 3, got {n}")
-    return Residue(operator.index(k) * ((n + 1) // 2) % n, n)
+    return Residue(_integer(k, "k") * ((n + 1) // 2) % n, n)
 
 
 def _check_coprime(s: int, t: int) -> tuple[int, int]:
-    s = operator.index(s)
-    t = operator.index(t)
+    s = _integer(s, "s")
+    t = _integer(t, "t")
     if s < 1 or t < 1:
         raise ValueError(f"moduli must be >= 1, got ({s}, {t})")
     g = gcd(s, t)
@@ -103,7 +112,7 @@ def crt_combine(k: int, l: int, s: int, t: int) -> Residue:
     ("moduli not coprime") is raised.
     """
     s, t = _check_coprime(s, t)
-    k = operator.index(k) % s
-    l = operator.index(l) % t
+    k = _integer(k, "k") % s
+    l = _integer(l, "l") % t
     p = (k * t * pow(t, -1, s) + l * s * pow(s, -1, t)) % (s * t)
     return Residue(p, s * t)

@@ -14,7 +14,6 @@ by degree census plus a connectivity scan.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from io import TextIOBase
 from itertools import combinations
@@ -22,7 +21,7 @@ from operator import lshift, or_
 
 from ._record import Record, to_json
 from .factors import Factor, Factorization
-from .numtheory import totient
+from .numtheory import _integer, totient
 from .pairing import _hops, _reached, classify_pair, count_perfect_pairs
 
 __all__ = [
@@ -43,7 +42,7 @@ class CostGuardError(RuntimeError):
 
 def _check_enumerable(n: int, expensive: bool = True) -> int:
     """The order as an int; refuses n = 9 (CostGuardError) unless expensive."""
-    n = operator.index(n)
+    n = _integer(n, "n")
     if n % 2 == 0 or not 3 <= n <= 9:
         raise ValueError(f"enumeration supports odd n with 3 <= n <= 9, got {n}")
     if n == 9 and not expensive:

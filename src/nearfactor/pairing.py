@@ -10,13 +10,13 @@ the union of the two perfect matchings is a single Hamiltonian cycle.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Iterator
 from itertools import chain, combinations, cycle
 from math import gcd
 
 from ._record import Record
 from .factors import Factor, Factorization
+from .numtheory import _integer
 
 __all__ = [
     "TERMINAL_CYCLE",
@@ -120,13 +120,14 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
 def _modular_pair(k: int, l: int, n: int, claim: str) -> tuple[int, int, int]:
     """(k % n, l % n, n) for distinct indices mod an odd n >= 3.
 
-    Any other n is refused with a message that opens with `claim`.
+    Any other n is refused with a message that opens with `claim`.  An
+    exact int skips the call to _integer: gcd sweeps make thousands of calls.
     """
-    n = operator.index(n)
+    n = n if n.__class__ is int else _integer(n, "n")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"{claim} odd n >= 3, got {n}")
-    k = operator.index(k) % n
-    l = operator.index(l) % n
+    k = (k if k.__class__ is int else _integer(k, "k")) % n
+    l = (l if l.__class__ is int else _integer(l, "l")) % n
     if k == l:
         raise ValueError("factor indices must be distinct")
     return k, l, n
@@ -141,7 +142,7 @@ def nth_union_edge(k: int, l: int, n: int, i: int) -> tuple[int, int]:
     distance s = +-(k - l)*h*i, as (c + s, c - s) mod n.
     """
     k, l, n = _modular_pair(k, l, n, "closed-form walk edges require")
-    i = operator.index(i)
+    i = i if i.__class__ is int else _integer(i, "i")
     if not 1 <= i <= n - 1:
         raise ValueError(f"edge position {i} not in [1, {n - 1}]")
     h = (n + 1) // 2

@@ -11,17 +11,14 @@ from their partner arrays; for two modular families it gives these factors.
 
 from __future__ import annotations
 
-import operator
-
 from ._record import Record
 from .factors import (
     Factor,
     Factorization,
-    _not_bool,
     build_modular_factorization,
     factorization_problems,
 )
-from .numtheory import gcd, half_mod
+from .numtheory import _integer, gcd, half_mod
 from .pairing import count_perfect_pairs
 
 __all__ = [
@@ -69,8 +66,8 @@ class ProductFactor(Record):
 
 
 def _check_orders(s: int, t: int) -> tuple[int, int]:
-    s = operator.index(s)
-    t = operator.index(t)
+    s = _integer(s, "s")
+    t = _integer(t, "t")
     for name, value in (("s", s), ("t", t)):
         if value < 3 or value % 2 == 0:
             raise ValueError(f"constituent order {name} must be odd and >= 3, got {value}")
@@ -89,8 +86,8 @@ def build_product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
     is (half of k mod s, half of l mod t).
     """
     s, t = _check_orders(s, t)
-    k = operator.index(_not_bool(k, "first index"))
-    l = operator.index(_not_bool(l, "second index"))
+    k = _integer(k, "first index")
+    l = _integer(l, "second index")
     if not 0 <= k < s:
         raise ValueError(f"first index {k} not in [0, {s})")
     if not 0 <= l < t:
@@ -140,8 +137,7 @@ def is_perfect_product_pair(
     """Two-gcd criterion: both index differences coprime to their modulus."""
     s, t = _check_orders(s, t)
     (k, l), (k2, l2) = (
-        (operator.index(_not_bool(i, "first index")) % s,
-         operator.index(_not_bool(j, "second index")) % t)
+        (_integer(i, "first index") % s, _integer(j, "second index") % t)
         for i, j in (kl, kl2)
     )
     if (k, l) == (k2, l2):
@@ -156,8 +152,8 @@ def product_bound(s: int, t: int, c_s: int, c_t: int) -> int:
     bound itself depends only on the two counts.
     """
     _check_orders(s, t)
-    c_s = operator.index(c_s)
-    c_t = operator.index(c_t)
+    c_s = _integer(c_s, "c_s")
+    c_t = _integer(c_t, "c_t")
     if c_s < 0 or c_t < 0:
         raise ValueError("perfect-pair counts cannot be negative")
     return 2 * c_s * c_t

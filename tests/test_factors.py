@@ -210,14 +210,16 @@ def test_factor_json_roundtrip():
 @pytest.mark.parametrize(
     "edge, shown",
     [([1, 2, 3, 4], "[1, 2, 3, 4]"), ([1, 2, 3], "[1, 2, 3]"), ([1], "[1]"),
-     ([], "[]"), (list(range(50)), "[0, 1, 2, 3, 4, 5, ...]")],
+     ([], "[]"), (list(range(50)), "[0, 1, 2, 3, 4, 5, ...]"), ((0, 1, 2), "(0, 1, 2)")],
 )
 def test_factor_from_dict_requires_two_endpoints_per_edge(edge, shown):
+    """And factor_index_of_edge, with the same message."""
     data = build_modular_factor(5, 0).to_dict()
     data["edges"].append(edge)
-    with pytest.raises(ValueError) as excinfo:
-        Factor.from_dict(data)
-    assert str(excinfo.value) == f"edge {shown} must have exactly two endpoints"
+    for build in (lambda: Factor.from_dict(data), lambda: factor_index_of_edge(5, edge)):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == f"edge {shown} must have exactly two endpoints"
 
 
 @pytest.mark.parametrize("field", ["n", "isolated", "index"])

@@ -117,6 +117,19 @@ def test_residue_normalization_enforced():
     assert int(Residue(3, 7)) == 3
 
 
+def test_residue_checks_its_fields():
+    with pytest.raises(ValueError, match="^value must be an integer, got True$"):
+        Residue(True, 5)
+    with pytest.raises(ValueError, match="^modulus must be an integer, got True$"):
+        Residue(0, True)
+    for value, modulus in ((1.5, 3), (2, 3.5), ("1", 3)):
+        with pytest.raises(TypeError):
+            Residue(value, modulus)
+    stored = Residue(Residue(3, 7), 7)
+    assert stored.value.__class__ is int
+    assert stored.to_dict() == {"value": 3, "modulus": 7}
+
+
 def test_moduli_below_the_domain_are_refused():
     with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
         mod_inverse(0, 1)

@@ -188,6 +188,30 @@ def test_is_perfect_by_gcd_examples():
         assert str(excinfo.value) == message, args
 
 
+class _Index:
+    """An integer-like object that defines only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_the_modular_criteria_take_any_index_like_argument():
+    """Exact ints skip the integer check; anything else still goes through it."""
+    for k, l, n in ((0, 1, 5), (0, 3, 9), (2, 7, 15), (1, 5, 15), (-1, 8, 7)):
+        wrapped = [_Index(x) for x in (k, l, n)]
+        assert is_perfect_by_gcd(*wrapped) is is_perfect_by_gcd(k, l, n)
+        for i in range(1, n):
+            assert nth_union_edge(*wrapped, _Index(i)) == nth_union_edge(k, l, n, i)
+    for args in ((0, 1.0, 5), (0, 1, 5.0), ("0", 1, 5)):
+        with pytest.raises(TypeError):
+            is_perfect_by_gcd(*args)
+    with pytest.raises(TypeError):
+        nth_union_edge(0, 1, 5, 1.0)
+
+
 def test_classify_pair_odd_order():
     perfect = classify_pair(build_modular_factor(5, 0), build_modular_factor(5, 1))
     assert perfect.perfect is True

@@ -104,7 +104,7 @@ def test_product_bound_examples():
         product_bound(3, 5, -1, 10)
     with pytest.raises(ValueError, match="constituent order s"):
         product_bound(4, 5, 1, 1)
-    with pytest.raises(ValueError, match="constituent order s"):
+    with pytest.raises(ValueError, match="^s must be an integer, got True$"):
         product_bound(True, 5, 1, 1)
 
 
