@@ -10,9 +10,9 @@ n * phi(n) / 2 == 2 * (s * phi(s) / 2) * (t * phi(t) / 2) for n = s * t.
 from __future__ import annotations
 
 from ._record import Record
-from .factors import build_modular_factor
+from .factors import Factor, _modular_factor, build_modular_factor
 from .numtheory import _check_coprime, _integer, totient
-from .product import _check_orders, build_product_factor, product_bound
+from .product import _check_orders, _product_factor, product_bound
 
 __all__ = [
     "EquivalenceReport",
@@ -58,12 +58,21 @@ def verify_factor_equality(p: int, s: int, t: int) -> bool:
 
     Edge sets must match under the vertex map v -> (v % s, v % t) and the
     isolated vertices must correspond.  s and t must be coprime, odd and
-    >= 3; p is taken mod s*t.
+    >= 3; p is taken mod s*t.  Bad input gets the error of the first check
+    that refuses it: the moduli, p, the modular factor's order, then the
+    product's constituent orders.
     """
     s, t = _check_coprime(s, t)
     p = _integer(p, "p") % (s * t)
     direct = build_modular_factor(s * t, p)
-    prod = build_product_factor(s, t, p % s, p % t)
+    _check_orders(s, t)
+    return _factors_agree(direct, s, t)
+
+
+def _factors_agree(direct: Factor, s: int, t: int) -> bool:
+    """verify_factor_equality on modular factor `direct` of K_{st}, s and t checked."""
+    p = direct.index
+    prod = _product_factor(s, t, p % s, p % t)
     mapped = set()
     for u, v in direct.edges:
         a = (u % s, u % t)
@@ -81,7 +90,10 @@ def build_equivalence_report(s: int, t: int) -> EquivalenceReport:
     """
     s, t = _check_orders(*_check_coprime(s, t))
     n = s * t
-    failures = tuple(p for p in range(n) if not verify_factor_equality(p, s, t))
+    half = (n + 1) // 2  # p * half % n is factor p's isolated vertex
+    failures = tuple(
+        p for p in range(n) if not _factors_agree(_modular_factor(n, p, p * half % n), s, t)
+    )
     direct_bound = n * totient(n) // 2
     prod_bound = product_bound(s, t, s * totient(s) // 2, t * totient(t) // 2)
     return EquivalenceReport(

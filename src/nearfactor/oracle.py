@@ -8,8 +8,9 @@ pinned as factor p; every partition then corresponds to exactly one
 assignment of edges to factors.
 
 Also provides a Hamiltonicity check that is deliberately independent of the
-alternating-walk traversal: it builds the union graph explicitly and decides
-by degree census plus a connectivity scan.
+alternating-walk traversal: it reads only the two edge lists and decides by
+a degree census of their union plus a scan along each vertex's XOR of
+neighbours.
 """
 
 from __future__ import annotations
@@ -265,46 +266,49 @@ def exact_c(n: int, expensive: bool = False) -> int:
 def independent_hamiltonicity_check(f: Factor, g: Factor) -> bool:
     """Decide perfection of a pair without the alternating-walk machinery.
 
-    Builds the union of the two edge lists explicitly and checks that it is
-    a single path through all n vertices (odd order) or a single n-cycle
-    (even order), by degree census and a connectivity scan.
+    Reads only n and the two edge lists, never `partners`.  One pass over
+    the union records each vertex's degree and the XOR of its neighbours,
+    refusing an endpoint outside 0..n-1.  The union is a single path through
+    all n vertices (odd order) iff it has n - 1 edges, two vertices of
+    degree 1 and n - 2 of degree 2, and the XOR links lead from one end to
+    the other in n - 1 steps; a single n-cycle (even order) iff it has n
+    edges, every degree is 2, and the links lead around the cycle through
+    its first edge in n steps.  A repeated edge or a shorter cycle is a
+    component the links never leave.
     """
     if f.n != g.n:
         raise ValueError(f"mismatched graph orders: {f.n} vs {g.n}")
     n = f.n
-    union = list(f.edges) + list(g.edges)
-    expected_edges = n - 1 if n % 2 == 1 else n
-    if len(union) != expected_edges:
+    union = f.edges + g.edges
+    if len(union) != n - n % 2:
         return False
-    if len(set(union)) != expected_edges:
-        return False  # a repeated edge forms a two-vertex cycle
     degree = [0] * n
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+    link = [0] * n  # the XOR of each vertex's neighbours
     for u, v in union:
-        if not 0 <= u < n or not 0 <= v < n:
+        if not (0 <= u < n and 0 <= v < n):
             return False
         degree[u] += 1
         degree[v] += 1
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+        link[u] ^= v
+        link[v] ^= u
     if n % 2 == 1:
-        ones = [v for v in range(n) if degree[v] == 1]
-        if len(ones) != 2 or any(degree[v] != 2 for v in range(n) if v not in ones):
+        if degree.count(1) != 2 or degree.count(2) != n - 2:
             return False
-        start = ones[0]
-    else:
-        if any(d != 2 for d in degree):
-            return False
-        start = 0
-    reached = {start}
-    frontier = [start]
-    while frontier:
-        w = frontier.pop()
-        for x in adjacency[w]:
-            if x not in reached:
-                reached.add(x)
-                frontier.append(x)
-    return len(reached) == n
+        prev = degree.index(1)
+        cur = link[prev]
+        steps = 1
+        while degree[cur] == 2:
+            prev, cur = cur, link[cur] ^ prev
+            steps += 1
+        return steps == n - 1
+    if degree.count(2) != n:
+        return False
+    start, cur = union[0]
+    prev, steps = start, 1
+    while cur != start:
+        prev, cur = cur, link[cur] ^ prev
+        steps += 1
+    return steps == n
 
 
 def write_factorizations_ndjson(n: int, stream: TextIOBase) -> int:

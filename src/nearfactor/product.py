@@ -11,6 +11,8 @@ from their partner arrays; for two modular families it gives these factors.
 
 from __future__ import annotations
 
+from math import gcd
+
 from ._record import Record
 from .factors import (
     Factor,
@@ -18,7 +20,7 @@ from .factors import (
     build_modular_factorization,
     factorization_problems,
 )
-from .numtheory import _integer, gcd, half_mod
+from .numtheory import _integer
 from .pairing import count_perfect_pairs
 
 __all__ = [
@@ -92,7 +94,12 @@ def build_product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
         raise ValueError(f"first index {k} not in [0, {s})")
     if not 0 <= l < t:
         raise ValueError(f"second index {l} not in [0, {t})")
-    iso = (half_mod(k, s).value, half_mod(l, t).value)
+    return _product_factor(s, t, k, l)
+
+
+def _product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
+    """build_product_factor on checked ints: odd s, t >= 3, k in [0, s), l in [0, t)."""
+    iso = (k * ((s + 1) // 2) % s, l * ((t + 1) // 2) % t)  # half of k, half of l
     fh = [(k - i) % s for i in range(s)]
     partner = _partner_product(fh, [(l - j) % t for j in range(t)], t)
     edges = tuple((divmod(x, t), divmod(y, t)) for x, y in enumerate(partner) if x < y)
@@ -142,7 +149,7 @@ def is_perfect_product_pair(
     )
     if (k, l) == (k2, l2):
         raise ValueError("product factor index pairs must be distinct")
-    return gcd((k - k2) % s, s) == 1 and gcd((l - l2) % t, t) == 1
+    return gcd(k - k2, s) == 1 and gcd(l - l2, t) == 1
 
 
 def product_bound(s: int, t: int, c_s: int, c_t: int) -> int:
@@ -163,11 +170,12 @@ def predicted_perfect_product_pairs(s: int, t: int) -> int:
     """Unordered product-factor pairs passing the two-gcd criterion.
 
     The criterion depends only on the index difference (dk, dl), and each of
-    the s*t - 1 nonzero differences is shared by s*t ordered pairs.
+    the s*t - 1 nonzero differences is shared by s*t ordered pairs.  s and t
+    are checked once; each difference d = dk * t + dl is then tested with
+    math.gcd on its two ints.
     """
     s, t = _check_orders(s, t)
-    differences = (divmod(d, t) for d in range(1, s * t))
-    passing = sum(is_perfect_product_pair(s, t, dkl, (0, 0)) for dkl in differences)
+    passing = sum(gcd(d // t, s) == 1 == gcd(d % t, t) for d in range(1, s * t))
     return s * t * passing // 2
 
 

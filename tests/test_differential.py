@@ -23,6 +23,13 @@ only reads fields.  On modular-family JSON with one seeded defect of each
 kind, `Factorization.from_dict` must raise the exception, with the same
 text, or return the fields, that a frozen copy of the earlier two-pass
 parse (`_reference_factorization`) gives.
+
+`independent_hamiltonicity_check` takes its degree census and follows the
+XOR of each vertex's neighbours in one pass over the union's edges.  On
+every valid input and every corruption above, on hand-built hostile pairs
+and on factors whose seeded `partners` disagree with their edges, it must
+return the bool, or raise the exception with the same text, that a frozen
+copy of the adjacency-list census (`_reference_census`) gives.
 """
 
 import json
@@ -31,6 +38,7 @@ import random
 import reprlib
 from itertools import chain, combinations, islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +46,8 @@ from nearfactor.factors import (
     Factor,
     Factorization,
     FactorVerdict,
+    build_modular_factor,
+    build_modular_factor_even,
     build_modular_factorization,
     factorization_problems,
     make_edge,
@@ -502,3 +512,152 @@ def test_one_pass_parse_agrees_with_the_two_pass_reference(seed):
                 outcomes.add(got[0])
     assert len(kinds) == 30
     assert outcomes == {"ok", ValueError, TypeError, KeyError}
+
+
+def _reference_census(f, g):
+    """Frozen adjacency-list census: degree count, then a connectivity scan."""
+    if f.n != g.n:
+        raise ValueError(f"mismatched graph orders: {f.n} vs {g.n}")
+    n = f.n
+    union = list(f.edges) + list(g.edges)
+    expected_edges = n - 1 if n % 2 == 1 else n
+    if len(union) != expected_edges:
+        return False
+    if len(set(union)) != expected_edges:
+        return False
+    degree = [0] * n
+    adjacency = [[] for _ in range(n)]
+    for u, v in union:
+        if not 0 <= u < n or not 0 <= v < n:
+            return False
+        degree[u] += 1
+        degree[v] += 1
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    if n % 2 == 1:
+        ones = [v for v in range(n) if degree[v] == 1]
+        if len(ones) != 2 or any(degree[v] != 2 for v in range(n) if v not in ones):
+            return False
+        start = ones[0]
+    else:
+        if any(d != 2 for d in degree):
+            return False
+        start = 0
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        w = frontier.pop()
+        for x in adjacency[w]:
+            if x not in reached:
+                reached.add(x)
+                frontier.append(x)
+    return len(reached) == n
+
+
+def _census_outcome(check, f, g):
+    """("ok", the bool) or (exception type, its text) for check(f, g)."""
+    try:
+        return "ok", check(f, g)
+    except (ValueError, TypeError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def _census_agrees(f, g, case):
+    """Both orders of the pair get the frozen census's outcome; returns it."""
+    got = _census_outcome(independent_hamiltonicity_check, f, g)
+    assert got == _census_outcome(_reference_census, f, g), case
+    assert _census_outcome(independent_hamiltonicity_check, g, f) == _census_outcome(
+        _reference_census, g, f
+    ), case
+    return got
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_pass_census_agrees_with_the_frozen_census(seed):
+    """Every corrupted factor against every factor, and a sample of valid pairs."""
+    rng = random.Random(seed)
+    outcomes = {}
+    for name, fz in _valid_inputs(rng):
+        fs = fz.factors
+        for f, g in rng.sample(list(combinations(fs, 2)), min(len(fs), 20)):
+            outcomes[_census_agrees(f, g, name)] = name
+        for kind, bad in _corruptions(rng, fz):
+            ids = set(map(id, fs))
+            for f in (f for f in bad.factors if id(f) not in ids):
+                for g in bad.factors:
+                    outcomes[_census_agrees(f, g, (name, kind))] = (name, kind)
+    assert {kind for kind, _ in outcomes} == {"ok", ValueError}
+    assert {k for k in outcomes if k[0] == "ok"} == {("ok", True), ("ok", False)}
+    for kind, text in outcomes:
+        assert kind == "ok" or text.startswith("mismatched graph orders: "), text
+
+
+@pytest.mark.parametrize(
+    "f, g, perfect",
+    [
+        # An endpoint -1 or n, with the union's edge count right.
+        (Factor(5, ((0, 1), (2, 3)), 4), Factor(5, ((1, 2), (-1, 3)), 0), False),
+        (Factor(5, ((0, 1), (2, 3)), 4), Factor(5, ((1, 2), (3, 5)), 0), False),
+        (Factor(4, ((0, 1), (2, 3))), Factor(4, ((1, 2), (-1, 0))), False),
+        (Factor(4, ((0, 1), (2, 3))), Factor(4, ((1, 2), (3, 4))), False),
+        # A repeated edge: the census passes, the links never leave (0, 1).
+        (Factor(5, ((0, 1), (2, 3)), 4), Factor(5, ((0, 1), (3, 4)), 2), False),
+        (Factor(6, ((0, 1), (2, 3), (4, 5))), Factor(6, ((0, 5), (1, 4), (2, 3))), False),
+        (Factor(4, ((0, 1), (2, 3))), Factor(4, ((0, 1), (2, 3))), False),
+        # A vertex of degree 3.
+        (Factor(5, ((0, 1), (2, 3)), 4), Factor(5, ((0, 2), (0, 4)), 1), False),
+        (Factor(6, ((0, 1), (2, 3), (4, 5))), Factor(6, ((0, 2), (0, 3), (1, 5))), False),
+        # Odd order: a path 0-1-2 and a 4-cycle 3-4-5-6, degrees as for one path.
+        (Factor(7, ((0, 1), (3, 4), (5, 6)), 2), Factor(7, ((1, 2), (4, 5), (3, 6)), 0), False),
+        # Even order: a 4-cycle and a 6-cycle, every degree 2.
+        (
+            Factor(10, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))),
+            Factor(10, ((1, 2), (0, 3), (5, 6), (7, 8), (4, 9))),
+            False,
+        ),
+        # The smallest orders.
+        (build_modular_factor(3, 0), build_modular_factor(3, 1), True),
+        (build_modular_factor(3, 0), build_modular_factor(3, 0), False),
+        (build_modular_factor_even(4, 1), build_modular_factor_even(4, 3), True),
+        (build_modular_factor_even(4, 0), build_modular_factor_even(4, 1), True),
+        # One path through all vertices, and one cycle through all vertices.
+        (Factor(7, ((0, 1), (2, 3), (4, 5)), 6), Factor(7, ((1, 2), (3, 4), (5, 6)), 0), True),
+        (Factor(6, ((0, 1), (2, 3), (4, 5))), Factor(6, ((1, 2), (3, 4), (0, 5))), True),
+    ],
+)
+def test_census_on_hostile_pairs(f, g, perfect):
+    assert _census_agrees(f, g, (f, g)) == ("ok", perfect)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (build_modular_factor(5, 0), build_modular_factor(7, 1)),
+        (build_modular_factor(7, 1), build_modular_factor(5, 0)),
+        (build_modular_factor(3, 0), build_modular_factor_even(4, 1)),
+        (Factor(5, ((0, 9),), 1), Factor(6, ((0, 9),))),
+    ],
+)
+def test_census_refuses_mismatched_orders_as_before(f, g):
+    got = _census_agrees(f, g, (f, g))
+    assert got == (ValueError, f"mismatched graph orders: {f.n} vs {g.n}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_census_reads_the_edges_not_the_seeded_partners(seed):
+    """A factor's seeded partners disagree with its edges: the edges decide."""
+    rng = random.Random(seed)
+    answers = set()
+    for n in (7, 9, 15, 21):
+        fs = build_modular_factorization(n).factors
+        for _ in range(10):
+            f, g, h = rng.sample(fs, 3)
+            seeded = Factor(n, f.edges, f.isolated, f.index)
+            vars(seeded)["partners"] = h.partners  # disagrees with f.edges
+            want = _reference_census(f, g)
+            assert independent_hamiltonicity_check(seeded, g) is want, (n, f, g, h)
+            assert independent_hamiltonicity_check(g, seeded) is want, (n, f, g, h)
+            bare = SimpleNamespace(n=n, edges=f.edges)  # no partners at all
+            assert independent_hamiltonicity_check(bare, g) is want, (n, f, g)
+            answers.add(want)
+    assert answers == {True, False}

@@ -282,6 +282,17 @@ def test_prediction_matches_the_pairwise_criterion():
             assert predicted_perfect_product_pairs(s, t) == brute, (s, t)
 
 
+@pytest.mark.parametrize("s", range(3, 16, 2))
+@pytest.mark.parametrize("t", range(3, 16, 2))
+def test_prediction_counts_the_passing_index_differences(s, t):
+    """s*t/2 pairs per nonzero difference the public criterion passes."""
+    differences = [(dk, dl) for dk in range(s) for dl in range(t) if dk or dl]
+    passing = sum(is_perfect_product_pair(s, t, d, (0, 0)) for d in differences)
+    predicted = predicted_perfect_product_pairs(s, t)
+    assert predicted == s * t * passing // 2
+    assert predicted == s * t * totient(s) * totient(t) // 2
+
+
 # ------------------------------------------- doubling on non-modular inputs
 
 
