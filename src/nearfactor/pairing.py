@@ -261,18 +261,25 @@ def _walkable(fz: Factorization) -> bool:
 def _pair_verdicts(fz: Factorization) -> Iterator[bool]:
     """Whether each pair of factors is perfect, in `combinations` order.
 
-    When `_walkable` holds, each factor's hop table is built once and
-    `_reached` walks every pair over the tables; otherwise every pair goes
-    through classify_pair, so the error raised is the one of the first
-    failing pair.
+    When `_walkable` holds, `_table_verdicts` walks every pair over hop
+    tables built once per factor; otherwise every pair goes through
+    classify_pair, so the error raised is the one of the first failing pair.
     """
     factors = fz.factors
     if not _walkable(fz):
         return (classify_pair(f, g).perfect for f, g in combinations(factors, 2))
-    n = factors[0].n
-    tables = list(map(_hops, factors))
+    starts = [f.isolated for f in factors]
+    return _table_verdicts(list(map(_hops, factors)), starts, factors[0].n)
+
+
+def _table_verdicts(tables: list[list[int]], starts: list[int], n: int) -> Iterator[bool]:
+    """`_reached` over every pair of hop tables, in `combinations` order.
+
+    starts[i] is the isolated vertex of tables[i]'s factor; each pair must
+    meet `_reached`'s precondition, which is not checked here.
+    """
     return chain.from_iterable(
-        _reached(tables[i], tables[i + 1 :], f.isolated, n) for i, f in enumerate(factors)
+        _reached(tables[i], tables[i + 1 :], c, n) for i, c in enumerate(starts)
     )
 
 
@@ -283,9 +290,7 @@ def count_perfect_pairs(fz: Factorization) -> int:
     the verdict of one pair together with its path or cycle.  A
     factorization from enumerate_factorizations carries the count its run
     took from the verdicts it decided when it built each factor; any other
-    is the sum of `_pair_verdicts`, which checks once that `_walkable`
-    holds, builds each factor's hop table once and walks every pair over
-    the tables, or else classifies pair by pair.
+    is the sum of `_pair_verdicts`.
     """
     count = vars(fz).get("_perfect_pairs")  # set by enumerate_factorizations
     if count is None:

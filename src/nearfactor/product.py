@@ -6,11 +6,13 @@ whose first coordinates sum to k mod s and second coordinates sum to l
 mod t.  Exactly one vertex is its own partner and stays isolated, so each
 factor is a near-one-factor of the complete graph on the s*t pair vertices.
 product_factorization builds the product of any two odd-order factorizations
-from their partner arrays; for two modular families it gives these factors.
+from their partner arrays; for two modular families it gives these factors,
+and count_perfect_product_pairs walks the arrays as hop tables, with no Factor.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd
 
 from ._record import Record
@@ -21,7 +23,7 @@ from .factors import (
     factorization_problems,
 )
 from .numtheory import _integer
-from .pairing import count_perfect_pairs
+from .pairing import _table_verdicts
 
 __all__ = [
     "PairVertex",
@@ -108,13 +110,8 @@ def _product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
     return pf
 
 
-def product_factorization(a: Factorization, b: Factorization) -> Factorization:
-    """The product of valid odd-order factorizations A of K_s and B of K_t.
-
-    Factor (F, G) joins (i, j) with (F(i), G(j)), where F(i) = i at F's
-    isolated vertex, on the vertices i * t + j of K_{s*t}; factors come A
-    outer, B inner.  An invalid input raises ValueError naming its first problem.
-    """
+def _product_mates(a: Factorization, b: Factorization) -> Iterator[tuple[list[int], int]]:
+    """product_factorization's factors, in order, as (partner array, isolated vertex)."""
     for name, fz in (("A", a), ("B", b)):
         problems = [f"even order {fz.n}"] if fz.n % 2 == 0 else factorization_problems(fz)
         if problems:
@@ -125,12 +122,20 @@ def product_factorization(a: Factorization, b: Factorization) -> Factorization:
         for fz in (a, b)
     ]
     t = b.n
-    factors = []
     for f, fh in zip(a.factors, hats[0]):
         for g, gh in zip(b.factors, hats[1]):
-            mate = _partner_product(fh, gh, t)
-            factors.append(Factor._prebuilt(a.n * t, mate, f.isolated * t + g.isolated))
-    return Factorization(n=a.n * t, factors=tuple(factors))
+            yield _partner_product(fh, gh, t), f.isolated * t + g.isolated
+
+
+def product_factorization(a: Factorization, b: Factorization) -> Factorization:
+    """The product of valid odd-order factorizations A of K_s and B of K_t.
+
+    Factor (F, G) joins (i, j) with (F(i), G(j)), where F(i) = i at F's
+    isolated vertex, on the vertices i * t + j of K_{s*t}; factors come A
+    outer, B inner.  An invalid input raises ValueError naming its first problem.
+    """
+    n, mates = a.n * b.n, _product_mates(a, b)
+    return Factorization(n=n, factors=tuple(Factor._prebuilt(n, m, c) for m, c in mates))
 
 
 def flatten_product_factor(pf: ProductFactor) -> Factor:
@@ -182,17 +187,22 @@ def predicted_perfect_product_pairs(s: int, t: int) -> int:
 def count_perfect_product_pairs(s: int, t: int) -> int:
     """Unordered perfect pairs in the full product family, by traversal.
 
-    The product of the two modular families (product_factorization) is
-    counted by the alternating walk.  For coprime s and t the two-gcd
-    criterion decides exactly the same pairs, and a mismatch raises
-    RuntimeError.  For non-coprime s and t the criterion is NOT equivalent
-    to the walk (the walk covers only lcm-many vertices and never all s*t of
-    them), so no cross-check is applied there; compare with
+    The alternating walk counts the product of the two modular families on
+    the partner arrays product_factorization builds it from, made hop tables
+    (pairing._hops) in place; the product is valid, so no Factor is built.
+    For coprime s and t the two-gcd criterion decides the same pairs, and a
+    mismatch raises RuntimeError.  For non-coprime s and t it is NOT
+    equivalent to the walk (which covers only lcm-many of the s*t vertices),
+    so no cross-check is applied there; compare with
     predicted_perfect_product_pairs to observe the divergence.
     """
     s, t = _check_orders(s, t)
-    a, b = build_modular_factorization(s), build_modular_factorization(t)
-    walked = count_perfect_pairs(product_factorization(a, b))
+    n, a, b = s * t, build_modular_factorization(s), build_modular_factorization(t)
+    tables, starts = map(list, zip(*_product_mates(a, b)))
+    for hops, c in zip(tables, starts):
+        hops[c] = n
+        hops.append(n)
+    walked = sum(_table_verdicts(tables, starts, n))
     if gcd(s, t) == 1:
         predicted = predicted_perfect_product_pairs(s, t)
         if walked != predicted:

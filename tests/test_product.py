@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nearfactor import product
+from nearfactor import pairing, product
 from nearfactor.factors import (
     Factor,
     Factorization,
@@ -269,6 +269,66 @@ def test_count_cross_check_fires_on_a_wrong_prediction(monkeypatch):
     with pytest.raises(RuntimeError, match="two-gcd criterion predicts 61"):
         count_perfect_product_pairs(3, 5)
     assert count_perfect_product_pairs(3, 3) == 0  # no cross-check when not coprime
+
+
+def _hop_tables(a, b):
+    """The hop tables and starts of product(a, b), read off `_product_mates`."""
+    n, tables, starts = a.n * b.n, [], []
+    for mate, c in product._product_mates(a, b):
+        assert mate[c] == c  # the array _prebuilt takes
+        mate[c] = n
+        tables.append(mate + [n])
+        starts.append(c)
+    return tables, starts
+
+
+ODD_ORDERS = range(3, 16, 2)
+
+
+@pytest.mark.parametrize("s", ODD_ORDERS)
+@pytest.mark.parametrize("t", ODD_ORDERS)
+def test_count_walks_the_tables_of_product_factorization(s, t):
+    """The count's tables, starts and verdicts are those of the built family."""
+    a, b = build_modular_factorization(s), build_modular_factorization(t)
+    fz = product_factorization(a, b)
+    tables, starts = _hop_tables(a, b)
+    assert tables == list(map(pairing._hops, fz.factors))
+    assert starts == [f.isolated for f in fz.factors]
+    verdicts = list(pairing._table_verdicts(tables, starts, s * t))
+    assert verdicts == list(pairing._pair_verdicts(fz))
+    assert count_perfect_product_pairs(s, t) == sum(verdicts) == count_perfect_pairs(fz)
+
+
+def test_k9_witness_times_modular_k5_through_the_tables():
+    a, b = _k9_perfect(), build_modular_factorization(5)
+    tables, starts = _hop_tables(a, b)
+    assert sum(pairing._table_verdicts(tables, starts, 45)) == 720 == 2 * 36 * 10
+
+
+def test_count_builds_no_product_factor(monkeypatch):
+    """The count walks arrays: Factors of order s and t, none of order s*t.
+
+    The modular inputs are built as Factors; no product factor, hop table
+    from a Factor, walkability check or count_perfect_pairs call is made.
+    """
+    real = Factor._prebuilt
+
+    def constituents_only(cls, n, *args):
+        if n > 15:
+            raise AssertionError(f"a Factor of order {n} was built")
+        return real(n, *args)
+
+    def refuse(*args):
+        raise AssertionError("the count left the hop tables")
+
+    monkeypatch.setattr(Factor, "_prebuilt", classmethod(constituents_only))
+    for name in ("_walkable", "_hops", "count_perfect_pairs"):
+        monkeypatch.setattr(pairing, name, refuse)
+        monkeypatch.setattr(product, name, refuse, raising=False)
+    assert count_perfect_product_pairs(7, 9) == 1134
+    assert count_perfect_product_pairs(5, 15) == 0
+    with pytest.raises(AssertionError, match="order 63 was built"):
+        product_factorization(build_modular_factorization(7), build_modular_factorization(9))
 
 
 def test_prediction_matches_the_pairwise_criterion():
