@@ -57,7 +57,7 @@ def _check_enumerable(n: int, expensive: bool = True) -> int:
 def _fill(edges, marks, used, held, full):
     """Yield once per way to give every edge in `edges` a factor, lowest first.
 
-    The oracle's one edge search.  Edge (u, v) may take any factor of `full`
+    The oracle's prefix search.  Edge (u, v) may take any factor of `full`
     missing from used[u] | used[v]; while a yield is pending, `used` and
     `held` include the assignment (edge i with factor c: bit c in both ends'
     `used`, marks[i] in held[c]).  Explicit stack: avail[i] holds the
@@ -100,6 +100,66 @@ def _fill(edges, marks, used, held, full):
         held[c] ^= marks[pos]
 
 
+def _row_ways(key, marks, n, full):
+    """Row R - 1's ways in _fill's order: each factor's added edge mask (marks[i]
+    for the edge to R + i), then the bits added to `key`, whose field i (n bits
+    at i * n) holds the factors banned on that edge.
+    """
+    m0, m1, m2, m3 = marks
+    ways = []
+    f0 = full & ~key
+    while f0:
+        f0 ^= (x := f0 & -f0)
+        f1 = full & ~(key >> n | x)
+        while f1:
+            f1 ^= (y := f1 & -f1)
+            f2 = full & ~(key >> 2 * n | x | y)
+            while f2:
+                f2 ^= (z := f2 & -f2)
+                f3 = full & ~(key >> 3 * n | x | y | z)
+                while f3:
+                    f3 ^= (w := f3 & -f3)
+                    held = [0] * n
+                    held[x.bit_length() - 1] = m0
+                    held[y.bit_length() - 1] = m1
+                    held[z.bit_length() - 1] = m2
+                    held[w.bit_length() - 1] = m3
+                    ways.append((*held, x | (y | (z | w << n) << n) << n))
+    return ways
+
+
+def _tail_ends(state, marks, n, full):
+    """The tail's ends in _fill's order: each factor's mask of the six edges,
+    lexicographic (`marks`), where one factor may take two disjoint edges.
+    Field i of `state` (n bits at i * n) holds the factors at vertex R + i.
+    """
+    u0, u1, u2, u3 = state & full, state >> n & full, state >> 2 * n & full, state >> 3 * n
+    ends = []
+    f0 = full & ~(u0 | u1)
+    while f0:
+        f0 ^= (a := f0 & -f0)
+        f1 = full & ~(u0 | a | u2)
+        while f1:
+            f1 ^= (b := f1 & -f1)
+            f2 = full & ~(u0 | a | b | u3)
+            while f2:
+                f2 ^= (c := f2 & -f2)
+                f3 = full & ~(u1 | a | u2 | b)
+                while f3:
+                    f3 ^= (d := f3 & -f3)
+                    f4 = full & ~(u1 | a | d | u3 | c)
+                    while f4:
+                        f4 ^= (e := f4 & -f4)
+                        f5 = full & ~(u2 | b | d | u3 | c | e)
+                        while f5:
+                            f5 ^= (g := f5 & -f5)
+                            held = [0] * n
+                            for bit, mark in zip((a, b, c, d, e, g), marks):
+                                held[bit.bit_length() - 1] |= mark
+                            ends.append(tuple(held))
+    return tuple(ends)
+
+
 def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     """Yield every near-one-factorization of K_n exactly once, canonically.
 
@@ -107,23 +167,23 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     edge {u, v} may be any factor other than u and v whose matching does not
     yet touch u or v (per-vertex bitmasks), lowest factor first.  Emitted
     factorizations carry factors sorted by their edge lists; factor indices
-    are left unset.  Row u is the edges (u, v), v > u.  Once the rows before
-    the tail, the last four vertices R.. (R = max(1, n - 4)), are assigned,
-    the ways to finish depend only on the factors already matching each
-    remaining vertex, so a run searches the tail (`tails`) and row R - 1
-    (`rows`) once per distinct state and replays them; a state with no
-    completion is stored empty.  Each factor arrives with its partner
-    array already built, so counting never rebuilds it.  Within one call,
-    equal factors are one shared (immutable) object: each distinct factor
-    is built once, when it first completes, under its slot (its run-local
-    creation index).  Building slot b walks its factor against that of every
-    earlier slot a with no edge in common and another isolated vertex, the
-    only factors it can share a factorization with, and marks a perfect
-    pair in both slots' masks: bit a of `perfect[b]` and bit b of
-    `perfect[a]`.  Each yielded factorization carries only its perfect-pair
-    count, read off the masks of its factors' slots, which
-    count_perfect_pairs returns without a walk; slots and masks live only
-    as long as the call.
+    are left unset.  Row u is the edges (u, v), v > u.  Once _fill has
+    assigned the rows before the tail, the last four vertices R.. (R =
+    max(1, n - 4)), the ways to finish depend only on the factors already
+    matching each remaining vertex, so a run fills row R - 1 (`rows`, by
+    _row_ways) and the tail (`tails`, by _tail_ends) once per distinct state
+    and replays them; a state with no completion is stored empty.  Each
+    factor arrives with its partner array already built, so counting never
+    rebuilds it.  Within one call, equal factors are one shared (immutable)
+    object: each distinct factor is built once, when it first completes,
+    under its slot (its run-local creation index).  Building slot b walks
+    its factor against that of every earlier slot a with no edge in common
+    and another isolated vertex, the only factors it can share a
+    factorization with, and marks a perfect pair in both slots' masks: bit
+    a of `perfect[b]` and bit b of `perfect[a]`.  Each yielded factorization
+    carries only its perfect-pair count, read off the masks of its factors'
+    slots, which count_perfect_pairs returns without a walk; slots and masks
+    live only as long as the call.
     """
     n = _check_enumerable(n)
     full = (1 << n) - 1
@@ -137,9 +197,8 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     # tables[slot] its hop table and perfect[slot] the bitmask of the slots it
     # forms a perfect pair with.
     marks = [1 << pos for pos in reversed(range(len(edge_list)))]
-    at_row = edge_list.index((row, row + 1))
-    row_edges = slice(at_row, at_row + n - tail)
-    tail_edges = slice(row_edges.stop, None)
+    at_row = edge_list.index((row, row + 1)) if n > 3 else 3  # K_3: no tail
+    row_marks, tail_marks = marks[at_row : at_row + 4], marks[at_row + 4 :]
     built: dict[int, int] = {}
     made: list[Factor] = []
     tables: list[list[int]] = []
@@ -175,25 +234,15 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         return b
 
     # Memo keys pack one n-bit field per tail vertex, tail + i at bit i * n
-    # (spread * x copies x into every field): `tails` is keyed on used[tail:]
-    # and lists every completion of the tail's edges, `rows` is keyed on the
-    # factors banned on each edge of the row, used[row] | used[v], and lists
-    # the row's assignments.  An entry holds the edge masks the assignment
-    # adds per factor, then (used in rows) the bits it adds to the key;
-    # `shared` holds one copy of each row entry and of each row value.
+    # (spread * x copies x into every field).  `shared` holds one copy of
+    # each row entry and of each row value.
     shifts = range(0, (n - tail) * n, n)
     spread = sum(1 << s for s in shifts)
-    pad = [0] * (row + 1)
-
-    def search(edges: slice, key: int) -> list[tuple[int, ...]]:
-        used = pad + [key >> s & full for s in shifts]
-        held = [0] * n
-        found = _fill(edge_list[edges], marks[edges], used, held, full)
-        return [(*held, sum(map(lshift, used[tail:], shifts)) ^ key) for _ in found]
-
     shared: dict[int | tuple, tuple] = {}
     rows: dict[int, tuple] = {}
     tails: dict[int, tuple] = {}
+    if n == 3:  # _fill assigns all three edges, filling every mask: nothing is left
+        rows[full * spread], tails[full * spread] = ((0,) * 4,), ((0,) * 3,)
     used = [1 << v for v in range(n)]  # factor v isolates vertex v
     held = [0] * n
     new = object.__new__  # leaves skip Factorization.__init__, as Factor._prebuilt does
@@ -203,13 +252,14 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         key = rest | used[row] * spread
         options = rows.get(key)
         if options is None:
-            found = tuple([shared.setdefault(w[n], w) for w in search(row_edges, key)])
+            ways = _row_ways(key, row_marks, n, full)
+            found = tuple([shared.setdefault(w[n], w) for w in ways])
             options = rows[key] = shared.setdefault(found, found)
         for way in options:
             state = rest | way[n]
             ends = tails.get(state)
             if ends is None:
-                ends = tails[state] = tuple([w[:n] for w in search(tail_edges, state)])
+                ends = tails[state] = _tail_ends(state, tail_marks, n, full)
             if not ends:
                 continue
             base = list(map(or_, held, way))

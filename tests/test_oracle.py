@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import pickle
+import random
 import signal
 import sys
 import threading
@@ -195,6 +196,97 @@ def test_a_malformed_factor_stops_the_stream(monkeypatch, corrupt):
             yield
 
     monkeypatch.setattr(oracle, "_fill", corrupted)
+    previous = signal.signal(signal.SIGALRM, _give_up)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="malformed factor"):
+            next(enumerate_factorizations(7))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert done
+
+
+def _kernel_reference(kernel, key, n):
+    """What the prefix search _fill gives on the kernel's edges, in its format.
+
+    The tail is the last four vertices R.., row R - 1 the edges from R - 1 to
+    them; field i of `key` (n bits at i * n) goes to vertex R + i.  A row way
+    is each factor's added edge mask, then the bits added to `key`; a tail
+    end is each factor's edge mask.
+    """
+    full = (1 << n) - 1
+    tail = n - 4
+    edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    at_row = edge_list.index((tail - 1, tail))
+    part = slice(at_row, at_row + 4) if kernel == "_row_ways" else slice(at_row + 4, None)
+    edges = edge_list[part]
+    marks = [1 << pos for pos in reversed(range(len(edge_list)))][part]
+    used = [0] * tail + [key >> (i * n) & full for i in range(4)]
+    held = [0] * n
+    found = []
+    for _ in oracle._fill(edges, marks, used, held, full):
+        added = sum(used[tail + i] << (i * n) for i in range(4)) ^ key
+        found.append((*held, added) if kernel == "_row_ways" else tuple(held))
+    return found, marks
+
+
+def _random_key(rng, n):
+    """Four n-bit fields, each missing 0 to 5 factors: small searches, many dead."""
+    fields = (rng.sample(range(n), n - rng.randint(0, min(5, n))) for _ in range(4))
+    return sum(sum(1 << c for c in field) << (i * n) for i, field in enumerate(fields))
+
+
+@pytest.mark.parametrize("kernel", ["_row_ways", "_tail_ends"])
+def test_kernels_match_the_prefix_search(monkeypatch, kernel):
+    """Each memo kernel gives exactly what _fill gives on its edges, in order.
+
+    Every key one n = 7 run looks up, then 2000 seeded random keys at each of
+    n = 5, 7 and 9, among them keys with no way and keys with several.
+    """
+    original = getattr(oracle, kernel)
+    met = []
+
+    def recorded(key, marks, n, full):
+        met.append(key)
+        return original(key, marks, n, full)
+
+    monkeypatch.setattr(oracle, kernel, recorded)
+    assert sum(1 for _ in enumerate_factorizations(7)) == 6240
+    assert len(met) == len(set(met)) == {"_row_ways": 1809, "_tail_ends": 1603}[kernel]
+    rng = random.Random(27)
+    cases = [(7, key) for key in met]
+    cases += [(n, _random_key(rng, n)) for n in (5, 7, 9) for _ in range(2000)]
+    sizes = set()
+    for n, key in cases:
+        expected, marks = _kernel_reference(kernel, key, n)
+        assert list(original(key, marks, n, (1 << n) - 1)) == expected
+        sizes.add(min(len(expected), 2))
+    assert sizes == {0, 1, 2}
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("kernel", ["_row_ways", "_tail_ends"])
+def test_a_malformed_kernel_output_stops_the_stream(monkeypatch, kernel):
+    """A kernel that gives a factor two edges at one vertex stops the stream.
+
+    Every output of the patched kernel also gives the factor holding the
+    kernel's first edge its second, which shares a vertex with the first.
+    """
+    original = getattr(oracle, kernel)
+    done = []
+
+    def corrupted(key, marks, n, full):
+        out = []
+        for entry in original(key, marks, n, full):
+            held = list(entry)
+            owner = next(c for c in range(n) if held[c] & marks[0])
+            held[owner] |= marks[1]
+            out.append(tuple(held))
+            done.append(owner)
+        return tuple(out)
+
+    monkeypatch.setattr(oracle, kernel, corrupted)
     previous = signal.signal(signal.SIGALRM, _give_up)
     signal.alarm(60)
     try:
@@ -688,7 +780,7 @@ def test_perfect_counts_vary_across_k5_factorizations():
 
 
 def test_k9_stream_prefix_and_lower_bound_witness():
-    """Exercise the n = 9 machinery without the full (about 4.6 h) enumeration.
+    """Exercise the n = 9 machinery without the full (about 4.9 h) enumeration.
 
     A prefix of the stream must be valid and internally consistent, and the
     sum-family factorization of K_9 must witness the 27-pair lower bound
@@ -740,8 +832,8 @@ def test_exact_c_9_full_enumeration_reaches_the_maximum():
     The perfect factorization in ``tests/data/k9_perfect.json`` has all
     C(9, 2) = 36 pairs perfect, and no factorization can have more, so the
     sweep must find exactly 36 (the modular family gives only 27).  This is
-    a pure-Python run of about 4.6 hours at best: 73k counted factorizations
-    per second over the first 300k (``BENCH_18.json``, ``n9_prefix``), an
+    a pure-Python run of about 4.9 hours at best: 70k counted factorizations
+    per second over the first 300k (``BENCH_27.json``, ``n9_prefix``), an
     extrapolation from a prefix that may run faster than the average.  It
     is excluded from the default suite (see addopts) and exists so the full
     computation has a launchable entry point: ``pytest -m expensive``.
