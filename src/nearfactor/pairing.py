@@ -11,7 +11,7 @@ the union of the two perfect matchings is a single Hamiltonian cycle.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain, combinations, cycle
+from itertools import chain, combinations, cycle, pairwise
 from math import gcd
 
 from ._record import Record
@@ -81,14 +81,29 @@ def _check_same_order(f: Factor, g: Factor) -> int:
     return f.n
 
 
+def _trace(first: tuple, second: tuple, start: int) -> tuple[list[int], int | None]:
+    """Follow partner arrays first, then second, in turn from start: the one tracer.
+
+    Returns the vertices reached, from start on, and where the walk stopped:
+    None at a missing edge, or start when it closes (start is not repeated).
+    """
+    vertices = [start]
+    v = start
+    for step in cycle((first, second)):
+        v = step[v]
+        if v is None or v == start:
+            return vertices, v
+        vertices.append(v)
+
+
 def union_walk(f: Factor, g: Factor) -> UnionWalk:
     """Walk from f's isolated vertex, alternating an edge of g, then of f.
 
     The walk stops at a vertex with no continuing edge in the factor whose
     turn it is (for well-formed factors this is g's isolated vertex), or at
-    the start, the one vertex it can revisit.  It records every vertex and
-    edge as the witness; the counting kernel `_reached` reaches the same
-    verdict on hop tables and records nothing.
+    the start, the one vertex it can revisit.  The witness is `_trace`'s
+    walk, with the start again on a closed cycle, and the edges between
+    consecutive vertices; counts come from `_reached`, which records nothing.
     """
     n = _check_same_order(f, g)
     if n % 2 == 0:
@@ -100,21 +115,12 @@ def union_walk(f: Factor, g: Factor) -> UnionWalk:
     start = f.isolated
     if not 0 <= start < n:
         raise ValueError(f"isolated vertex {start} out of range for order {n}")
-    vertices = [start]
-    edges: list[tuple[int, int]] = []
-    current = start
-    for step in cycle((g.partners, f.partners)):
-        nxt = step[current]
-        if nxt is None:
-            terminal = TERMINAL_REACHED if len(vertices) == n else TERMINAL_EARLY
-            break
-        edges.append((current, nxt))
-        vertices.append(nxt)
-        if nxt == start:
-            terminal = TERMINAL_CYCLE
-            break
-        current = nxt
-    return UnionWalk(start, tuple(vertices), tuple(edges), terminal)
+    vertices, stop = _trace(g.partners, f.partners, start)
+    terminal = TERMINAL_REACHED if len(vertices) == n else TERMINAL_EARLY
+    if stop is not None:
+        vertices.append(start)
+        terminal = TERMINAL_CYCLE
+    return UnionWalk(start, tuple(vertices), tuple(pairwise(vertices)), terminal)
 
 
 def _modular_pair(k: int, l: int, n: int, claim: str) -> tuple[int, int, int]:
@@ -166,6 +172,7 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
     Odd order: perfect iff the alternating walk covers all n vertices and
     ends at a missing edge, not back at its start.
     Even order: perfect iff the union of the two matchings is one n-cycle.
+    The path or cycle comes from `_trace`; counts come from `_reached`.
     """
     if f.n % 2 == 1:
         walk = union_walk(f, g)  # checks the orders, the edge lists and the starts
@@ -174,27 +181,17 @@ def classify_pair(f: Factor, g: Factor) -> PairClassification:
         ki, li = f.modular_index, g.modular_index
         if ki is not None and li is not None and ki != li:
             gcd_perfect = is_perfect_by_gcd(ki, li, f.n)
-        return PairClassification(
-            n=f.n, perfect=perfect, witness=walk, gcd_perfect=gcd_perfect
-        )
+        return PairClassification(f.n, perfect, walk, gcd_perfect=gcd_perfect)
     n = _check_same_order(f, g)
     if f.edges == g.edges:
         raise ValueError("factors must be distinct")
     # The union of two distinct perfect matchings is 2-regular (as a
-    # multigraph), so the component of vertex 0 is a cycle; it is traced by
-    # alternating an edge of f with an edge of g.
-    pf = f.partners
-    pg = g.partners
+    # multigraph), so the component of vertex 0 is a cycle, f-edge first.
+    pf, pg = f.partners, g.partners
     if None in pf or None in pg:
         raise ValueError("even-order classification requires perfect matchings")
-    cycle = [0]
-    v = pf[0]
-    use_g = True
-    while v != 0:
-        cycle.append(v)
-        v = pg[v] if use_g else pf[v]
-        use_g = not use_g
-    return PairClassification(n=n, perfect=len(cycle) == n, cycle=tuple(cycle))
+    ring = tuple(_trace(pf, pg, 0)[0])
+    return PairClassification(n=n, perfect=len(ring) == n, cycle=ring)
 
 
 def _hops(f: Factor) -> list[int]:
@@ -210,17 +207,18 @@ def _reached(
 ) -> Iterator[bool]:
     """For each hop table pg, whether the walk from `start` reaches every vertex.
 
-    The walk takes a g-edge, then an f-edge, and so on, along the hop
-    tables pg and pf (`_hops`).  A missing edge sends it to n, where it
-    stays, so a double step is `pf[pg[v]]` with no test; the walk tests
-    for n once per four double steps, which still ends the short walks of
-    most non-perfect pairs early.  Precondition, which `_walkable` checks:
-    the factors share the odd order n and have partner arrays that build,
-    and `start` is f's isolated vertex, in range and uncovered.  The walk
-    can then revisit only the start, which f cannot lead back to and g
-    only from pg[start], revisited first; so every step reaches a new
-    vertex, and the walk is a Hamiltonian path iff it makes (n - 1) / 2
-    g-then-f double steps without a missing edge.
+    The counting kernel, which records no witness (`_trace` does): the walk
+    takes a g-edge, then an f-edge, and so on, along the hop tables pg and
+    pf (`_hops`).  A missing edge sends it to n, where it stays, so a double
+    step is `pf[pg[v]]` with no test; the walk tests for n once per four
+    double steps, which still ends the short walks of most non-perfect
+    pairs early.  Precondition, which `_walkable` checks: the factors share
+    the odd order n and have partner arrays that build, and `start` is f's
+    isolated vertex, in range and uncovered.  The walk can then revisit
+    only the start, which f cannot lead back to and g only from pg[start],
+    revisited first; so every step reaches a new vertex, and the walk is a
+    Hamiltonian path iff it makes (n - 1) / 2 g-then-f double steps
+    without a missing edge.
     """
     blocks = range((n - 1) // 8)
     rest = range((n - 1) // 2 % 4)

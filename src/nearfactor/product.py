@@ -112,10 +112,6 @@ def _product_factor(s: int, t: int, k: int, l: int) -> ProductFactor:
 
 def _product_mates(a: Factorization, b: Factorization) -> Iterator[tuple[list[int], int]]:
     """product_factorization's factors, in order, as (partner array, isolated vertex)."""
-    for name, fz in (("A", a), ("B", b)):
-        problems = [f"even order {fz.n}"] if fz.n % 2 == 0 else factorization_problems(fz)
-        if problems:
-            raise ValueError(f"factorization {name}: {problems[0]}")
     # The partner arrays F-hat and G-hat: each isolated vertex maps to itself.
     hats = [
         [[v if w is None else w for v, w in enumerate(f.partners)] for f in fz.factors]
@@ -134,6 +130,10 @@ def product_factorization(a: Factorization, b: Factorization) -> Factorization:
     isolated vertex, on the vertices i * t + j of K_{s*t}; factors come A
     outer, B inner.  An invalid input raises ValueError naming its first problem.
     """
+    for name, fz in (("A", a), ("B", b)):
+        problems = [f"even order {fz.n}"] if fz.n % 2 == 0 else factorization_problems(fz)
+        if problems:
+            raise ValueError(f"factorization {name}: {problems[0]}")
     n, mates = a.n * b.n, _product_mates(a, b)
     return Factorization(n=n, factors=tuple(Factor._prebuilt(n, m, c) for m, c in mates))
 
@@ -189,7 +189,8 @@ def count_perfect_product_pairs(s: int, t: int) -> int:
 
     The alternating walk counts the product of the two modular families on
     the partner arrays product_factorization builds it from, made hop tables
-    (pairing._hops) in place; the product is valid, so no Factor is built.
+    (pairing._hops) in place; both families are valid, so neither is checked
+    and no product Factor is built.
     For coprime s and t the two-gcd criterion decides the same pairs, and a
     mismatch raises RuntimeError.  For non-coprime s and t it is NOT
     equivalent to the walk (which covers only lcm-many of the s*t vertices),

@@ -296,20 +296,40 @@ def _decides(node) -> bool:
     return any(_is_name(n, "bool") for operand in operands for n in ast.walk(operand))
 
 
-def _integer_decisions(node, module, function=None):
-    """(module, enclosing function) of each node that _decides."""
+def _enclosing(node, module, test, function=None):
+    """(module, enclosing function) of each node that passes test."""
     for child in ast.iter_child_nodes(node):
-        if _decides(child):
+        if test(child):
             yield module, function
         inner = child.name if isinstance(child, ast.FunctionDef) else function
-        yield from _integer_decisions(child, module, inner)
+        yield from _enclosing(child, module, test, inner)
+
+
+def _library_sites(test) -> set:
+    src = Path(nearfactor.__file__).resolve().parent
+    return {
+        site
+        for path in sorted(src.glob("*.py"))
+        for site in _enclosing(ast.parse(path.read_text()), path.stem, test)
+    }
 
 
 def test_only_the_integer_check_and_make_edge_decide_what_an_integer_is():
-    src = Path(nearfactor.__file__).resolve().parent
-    found = {
-        decision
-        for path in sorted(src.glob("*.py"))
-        for decision in _integer_decisions(ast.parse(path.read_text()), path.stem)
-    }
-    assert found == INTEGER_CHECKS
+    assert _library_sites(_decides) == INTEGER_CHECKS
+
+
+def _cycles(node) -> bool:
+    """Whether node calls itertools.cycle, or imports it under another name."""
+    if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+        return any(alias.name == "cycle" and alias.asname for alias in node.names)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "cycle" and _is_name(func.value, "itertools")
+    return _is_name(func, "cycle")
+
+
+def test_one_function_traces_a_union():
+    """pairing._trace is the one witness tracer: no second loop cycles two arrays."""
+    assert _library_sites(_cycles) == {("pairing", "_trace")}

@@ -780,7 +780,7 @@ def test_perfect_counts_vary_across_k5_factorizations():
 
 
 def test_k9_stream_prefix_and_lower_bound_witness():
-    """Exercise the n = 9 machinery without the full (about 4.9 h) enumeration.
+    """Exercise the n = 9 machinery without the full enumeration (hours; see README).
 
     A prefix of the stream must be valid and internally consistent, and the
     sum-family factorization of K_9 must witness the 27-pair lower bound
@@ -832,11 +832,9 @@ def test_exact_c_9_full_enumeration_reaches_the_maximum():
     The perfect factorization in ``tests/data/k9_perfect.json`` has all
     C(9, 2) = 36 pairs perfect, and no factorization can have more, so the
     sweep must find exactly 36 (the modular family gives only 27).  This is
-    a pure-Python run of about 4.9 hours at best: 70k counted factorizations
-    per second over the first 300k (``BENCH_27.json``, ``n9_prefix``), an
-    extrapolation from a prefix that may run faster than the average.  It
-    is excluded from the default suite (see addopts) and exists so the full
-    computation has a launchable entry point: ``pytest -m expensive``.
+    a pure-Python run of hours, sized in README's acceptance-gate paragraph.
+    It is excluded from the default suite (see addopts) and exists so the
+    full computation has a launchable entry point: ``pytest -m expensive``.
     """
     assert exact_c(9, expensive=True) == 36
 

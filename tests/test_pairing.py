@@ -34,6 +34,7 @@ def test_union_walk_stops_early():
     # the walk dead-ends at the other isolated vertex after 3 of 9 vertices
     walk = union_walk(build_modular_factor(9, 0), build_modular_factor(9, 3))
     assert walk.vertices == (0, 3, 6)
+    assert walk.edges == tuple(zip(walk.vertices, walk.vertices[1:]))
     assert walk.terminal == TERMINAL_EARLY
 
 
@@ -135,6 +136,7 @@ def test_walk_from_a_covered_start_closes_a_cycle(f, g, vertices):
     assert walk.terminal == TERMINAL_CYCLE
     assert walk.vertices == vertices
     assert walk.edges == tuple(zip(vertices, vertices[1:]))
+    assert walk.edges == tuple(zip(walk.vertices, walk.vertices[1:]))
     assert not classify_pair(f, g).perfect
     fz = Factorization(5, (f, g))
     assert not pairing._walkable(fz)
@@ -249,6 +251,7 @@ def test_classify_pair_skips_gcd_for_unlabeled_factors():
 
 def test_classify_pair_even_order():
     from nearfactor.factors import build_modular_factor_even
+    from nearfactor.oracle import independent_hamiltonicity_check
 
     f0 = build_modular_factor_even(4, 0)
     f1 = build_modular_factor_even(4, 1)
@@ -268,6 +271,23 @@ def test_classify_pair_even_order():
     outcome = classify_pair(f, g)
     assert outcome.perfect is False
     assert outcome.cycle == (0, 1)
+
+    # every pair of distinct modular matchings: the cycle through vertex 0,
+    # traced here f-edge first, and the census decider's verdict
+    for n in range(4, 21, 2):
+        factors = [build_modular_factor_even(n, k) for k in range(n)]
+        for f, g in combinations(factors, 2):
+            if f.edges == g.edges:
+                continue
+            mate = [{u: v for e in h.edges for u, v in (e, e[::-1])} for h in (f, g)]
+            ring, v, turn = [0], mate[0][0], 1
+            while v != 0:
+                ring.append(v)
+                v, turn = mate[turn][v], 1 - turn
+            outcome = classify_pair(f, g)
+            assert outcome.cycle == tuple(ring), (n, f.index, g.index)
+            assert outcome.perfect == independent_hamiltonicity_check(f, g)
+            assert outcome.witness is None and outcome.gcd_perfect is None
 
 
 def test_count_perfect_pairs_examples():

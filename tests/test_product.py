@@ -309,7 +309,8 @@ def test_count_builds_no_product_factor(monkeypatch):
     """The count walks arrays: Factors of order s and t, none of order s*t.
 
     The modular inputs are built as Factors; no product factor, hop table
-    from a Factor, walkability check or count_perfect_pairs call is made.
+    from a Factor, walkability check or count_perfect_pairs call is made,
+    and the two families it has just built are not checked again.
     """
     real = Factor._prebuilt
 
@@ -325,8 +326,10 @@ def test_count_builds_no_product_factor(monkeypatch):
     for name in ("_walkable", "_hops", "count_perfect_pairs"):
         monkeypatch.setattr(pairing, name, refuse)
         monkeypatch.setattr(product, name, refuse, raising=False)
-    assert count_perfect_product_pairs(7, 9) == 1134
-    assert count_perfect_product_pairs(5, 15) == 0
+    with monkeypatch.context() as checks:
+        checks.setattr(product, "factorization_problems", refuse)
+        assert count_perfect_product_pairs(7, 9) == 1134
+        assert count_perfect_product_pairs(5, 15) == 0
     with pytest.raises(AssertionError, match="order 63 was built"):
         product_factorization(build_modular_factorization(7), build_modular_factorization(9))
 
