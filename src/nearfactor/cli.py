@@ -31,7 +31,7 @@ from .factors import (
     build_modular_factorization,
     factorization_problems,
 )
-from .numtheory import totient
+from .numtheory import CostGuardError, totient
 from .pairing import (
     _pair_verdicts,
     classify_pair,
@@ -78,15 +78,6 @@ def _dot(label: str, factors: tuple[Factor, ...], styles: tuple[str, ...]) -> st
     return "\n".join(lines) + "\n"
 
 
-def _factor_dot(factor: Factor) -> str:
-    label = "factor" if factor.index is None else f"factor_{factor.index}"
-    return _dot(label, (factor,), ("",))
-
-
-def _witness_dot(f: Factor, g: Factor) -> str:
-    return _dot(f"pair_k{f.index}_l{g.index}", (f, g), WITNESS_STYLES)
-
-
 def _factor_text(factor: Factor) -> str:
     kind = "near-one-factor" if factor.n % 2 else "one-factor"
     label = "" if factor.index is None else f" k={factor.index}"
@@ -96,7 +87,8 @@ def _factor_text(factor: Factor) -> str:
 
 
 # ------------------------------------------------------------- subcommands
-# Each returns its output text and exit code; main writes the text.
+# Each returns its output text and exit code; main runs it as `args.run`
+# and writes the text.
 
 
 def cmd_construct(args: argparse.Namespace) -> tuple[str, int]:
@@ -113,7 +105,10 @@ def cmd_construct(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "json":
         text = to_json(record.to_dict())
     elif args.format == "dot":
-        text = "".join(map(_factor_dot, factors))
+        text = "".join(
+            _dot("factor" if f.index is None else f"factor_{f.index}", (f,), ("",))
+            for f in factors
+        )
     else:
         text = "".join(map(_factor_text, factors))
     return text, EXIT_OK
@@ -128,7 +123,7 @@ def cmd_pairs(args: argparse.Namespace) -> tuple[str, int]:
         g = build_modular_factor(n, args.l)
         outcome = classify_pair(f, g)
         if args.format == "dot":
-            return _witness_dot(f, g), EXIT_OK
+            return _dot(f"pair_k{f.index}_l{g.index}", (f, g), WITNESS_STYLES), EXIT_OK
         if args.format == "json":
             payload = {
                 "n": n,
@@ -250,6 +245,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 # ------------------------------------------------------------------ driver
 
 
+def _bind(p: argparse.ArgumentParser, run, formats=("json", "text")) -> None:
+    """Make `p` run `run`, which writes one of `formats` to stdout or --output."""
+    p.set_defaults(run=run)
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--output", default=None, help="write to file instead of stdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearfactor",
@@ -262,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="graph order")
     p.add_argument("--k", type=int, default=None, help="factor index (omit for all)")
     p.add_argument("--even", action="store_true", help="even-order builder")
-    p.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    p.add_argument("--output", default=None, help="write to file instead of stdout")
+    _bind(p, cmd_construct, ("json", "dot", "text"))
 
     p = sub.add_parser("pairs", help="count and classify perfect pairs")
     p.add_argument("--n", type=int, required=True, help="odd graph order")
@@ -271,57 +272,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="show one pair's witness")
     p.add_argument("--k", type=int, default=None, help="first factor index (witness)")
     p.add_argument("--l", type=int, default=None, help="second factor index (witness)")
-    p.add_argument("--format", choices=("json", "dot", "text"), default="json")
-    p.add_argument("--output", default=None)
+    _bind(p, cmd_pairs, ("json", "dot", "text"))
 
     p = sub.add_parser("equiv", help="compare direct and product constructions")
     p.add_argument("--s", type=int, required=True, help="first constituent order")
     p.add_argument("--t", type=int, required=True, help="second constituent order")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", default=None)
+    _bind(p, cmd_equiv)
 
     p = sub.add_parser("oracle", help="exact counts from exhaustive enumeration")
     p.add_argument("--n", type=int, required=True, help="odd order, 3 to 9")
     p.add_argument("--expensive", action="store_true", help="allow the n=9 search")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", default=None)
+    _bind(p, cmd_oracle)
 
     p = sub.add_parser("verify", help="validate and classify an external file")
     p.add_argument("--input", required=True, help="factorization JSON file")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", default=None)
+    _bind(p, cmd_verify)
 
     return parser
 
 
-COMMANDS = {
-    "construct": cmd_construct,
-    "pairs": cmd_pairs,
-    "equiv": cmd_equiv,
-    "oracle": cmd_oracle,
-    "verify": cmd_verify,
-}
-
-
-def _cost_guard_error() -> type[Exception]:
-    # Named in `main`'s except clause, which Python evaluates only when an
-    # exception reaches it, so a subcommand that raises none never imports
-    # the oracle.
-    from .oracle import CostGuardError
-
-    return CostGuardError
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text, code = COMMANDS[args.subcommand](args)
+        text, code = args.run(args)
         _emit(text, args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _cost_guard_error() as exc:
+    except CostGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_COST_GUARD
     return code

@@ -1,4 +1,4 @@
-"""Exact modular arithmetic helpers: gcd, totient, inverses, halving, CRT."""
+"""Exact modular arithmetic (gcd, totient, inverses, halving, CRT) and argument checks."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import operator
 from ._record import Record
 
 __all__ = [
+    "CostGuardError",
     "Residue",
     "crt_combine",
     "gcd",
@@ -22,6 +23,10 @@ def _integer(value, name: str) -> int:
     if value.__class__ is bool:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+class CostGuardError(RuntimeError):
+    """Raised when a run would be unboundedly expensive without explicit opt-in."""
 
 
 class Residue(Record):

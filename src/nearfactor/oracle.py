@@ -22,11 +22,10 @@ from operator import lshift, or_
 
 from ._record import Record, to_json
 from .factors import Factor, Factorization
-from .numtheory import _integer, totient
+from .numtheory import CostGuardError, _integer, totient
 from .pairing import _hops, _reached, classify_pair, count_perfect_pairs
 
 __all__ = [
-    "CostGuardError",
     "OracleSummary",
     "enumerate_factorizations",
     "exact_c",
@@ -35,10 +34,6 @@ __all__ = [
     "oracle_summary",
     "write_factorizations_ndjson",
 ]
-
-
-class CostGuardError(RuntimeError):
-    """Raised when a run would be unboundedly expensive without explicit opt-in."""
 
 
 def _check_enumerable(n: int, expensive: bool = True) -> int:

@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import runpy
+import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
@@ -497,3 +499,69 @@ def test_running_the_module_exits_with_the_code_main_returns(monkeypatch, capsys
         runpy.run_module("nearfactor.cli", run_name="__main__")
     assert stopped.value.code == 3
     assert capsys.readouterr().err.startswith("refused: ")
+
+
+# A guard inside pairs, construct or equiv raises the numtheory class, so the
+# refusal must reach exit 3 without the oracle ever loading.  -I, -S and -B
+# as in test_dependencies.
+REFUSING_PAIRS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import nearfactor.cli
+from nearfactor.numtheory import CostGuardError
+
+def refuse(n):
+    raise CostGuardError(f"K_{n} is too large")
+
+nearfactor.cli.build_modular_factorization = refuse
+code = nearfactor.cli.main(["pairs", "--n", "9"])
+print(code, "nearfactor.oracle" in sys.modules)
+"""
+
+
+def test_a_cost_guard_refusal_in_pairs_exits_3_without_the_oracle():
+    src = str(Path(nearfactor.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", REFUSING_PAIRS, src],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert (proc.stdout, proc.stderr) == ("3 False\n", "refused: K_9 is too large\n")
+    assert nearfactor.CostGuardError is nearfactor.oracle.CostGuardError
+
+
+FORMATS = {
+    "construct": ("json", "dot", "text"),
+    "pairs": ("json", "dot", "text"),
+    "equiv": ("json", "text"),
+    "oracle": ("json", "text"),
+    "verify": ("json", "text"),
+}
+REQUIRED = {
+    "construct": ["--n", "5"],
+    "pairs": ["--n", "5"],
+    "equiv": ["--s", "3", "--t", "5"],
+    "oracle": ["--n", "5"],
+    "verify": ["--input", "family.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_every_subcommand_offers_its_formats_and_output(name, capsys):
+    (subparsers,) = [
+        action
+        for action in nearfactor.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(subparsers.choices) == sorted(FORMATS)
+    options = {
+        action.option_strings[-1]: action for action in subparsers.choices[name]._actions
+    }
+    assert options["--format"].choices == FORMATS[name]
+    assert options["--format"].default == "json"
+    assert options["--output"].default is None
+    with pytest.raises(SystemExit) as stopped:
+        main([name, *REQUIRED[name], "--format", "yaml"])
+    assert stopped.value.code == 2
+    assert "argument --format: invalid choice" in capsys.readouterr().err

@@ -27,6 +27,7 @@ CASES = {
     "construct-family-dot": ["construct", "--n", "5", "--format", "dot"],
     "construct-family-text": ["construct", "--n", "5", "--format", "text"],
     "construct-even-json": ["construct", "--n", "6", "--k", "3", "--even"],
+    "construct-even-dot": ["construct", "--n", "6", "--k", "3", "--even", "--format", "dot"],
     "construct-even-text": ["construct", "--n", "6", "--k", "2", "--even", "--format", "text"],
     "construct-even-no-k": ["construct", "--n", "6", "--even"],
     "construct-output": ["construct", "--n", "9", "--output", OUT],
@@ -53,6 +54,7 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 
 # name -> (exit code, sha256 of stdout or of the --output file, sha256 of stderr)
 GOLDEN = {
+    "construct-even-dot": (0, "421eb2c2d1166bd80025262ace20eb19aee547f3e77a9f4e4f6c0e5778480641", EMPTY),
     "construct-even-json": (0, "091e481d546437c528f34f457e3ded7acdcefedea878ac0103c9db17ec78bd7b", EMPTY),
     "construct-even-no-k": (2, EMPTY, "7a963b527cea8b6431b26f836baacce4c05becc7a096f5337c1698fce6dc7c25"),
     "construct-even-text": (0, "da78ad1027bca704b10728625b12fb6c093f2ebedb8517bbcf55eb2a7bc1093c", EMPTY),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nearfactor.cli import main
+from nearfactor.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,6 +22,13 @@ def _examples() -> list[tuple[str, str]]:
 
 EXAMPLES = _examples()
 
+# Every `nearfactor ...` line, without its trailing `# comment`.
+COMMANDS = [
+    line.partition("#")[0].strip()
+    for line in README.read_text(encoding="utf-8").splitlines()
+    if line.startswith("nearfactor ")
+]
+
 
 def test_the_readme_shows_example_output():
     assert [command for command, _ in EXAMPLES] == [
@@ -36,3 +43,18 @@ def test_readme_example_prints_its_output(capsys, command, output):
     assert main(shlex.split(command)[1:]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (output + "\n", "")
+
+
+def test_the_readme_shows_every_subcommand():
+    subcommands = {shlex.split(command)[1] for command in COMMANDS}
+    assert subcommands == {"construct", "pairs", "equiv", "oracle", "verify"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_parses_and_runs(capsys, command):
+    argv = shlex.split(command)[1:]
+    build_parser().parse_args(argv)
+    if "--input" in argv:
+        return  # names a file the reader brings
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
