@@ -123,6 +123,38 @@ def _row_ways(key, marks, n, full):
     return ways
 
 
+def _wide_row_ways(key, marks, n, full):
+    """Row R - 2's ways in _fill's order, as _row_ways gives row R - 1's, over
+    its five edges, to R - 1 + i for i < 5: field i of `key` holds the factors
+    banned on the edge to R - 1 + i, and the added bits go to vertex R - 1 + i.
+    """
+    m0, m1, m2, m3, m4 = marks
+    ways = []
+    f0 = full & ~key
+    while f0:
+        f0 ^= (a := f0 & -f0)
+        f1 = full & ~(key >> n | a)
+        while f1:
+            f1 ^= (b := f1 & -f1)
+            f2 = full & ~(key >> 2 * n | a | b)
+            while f2:
+                f2 ^= (c := f2 & -f2)
+                f3 = full & ~(key >> 3 * n | a | b | c)
+                while f3:
+                    f3 ^= (d := f3 & -f3)
+                    f4 = full & ~(key >> 4 * n | a | b | c | d)
+                    while f4:
+                        f4 ^= (e := f4 & -f4)
+                        held = [0] * n
+                        held[a.bit_length() - 1] = m0
+                        held[b.bit_length() - 1] = m1
+                        held[c.bit_length() - 1] = m2
+                        held[d.bit_length() - 1] = m3
+                        held[e.bit_length() - 1] = m4
+                        ways.append((*held, a | (b | (c | (d | e << n) << n) << n) << n))
+    return ways
+
+
 def _tail_ends(state, marks, n, full):
     """The tail's ends in _fill's order: each factor's mask of the six edges,
     lexicographic (`marks`), where one factor may take two disjoint edges.
@@ -162,12 +194,13 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     edge {u, v} may be any factor other than u and v whose matching does not
     yet touch u or v (per-vertex bitmasks), lowest factor first.  Emitted
     factorizations carry factors sorted by their edge lists; factor indices
-    are left unset.  Row u is the edges (u, v), v > u.  Once _fill has
-    assigned the rows before the tail, the last four vertices R.. (R =
-    max(1, n - 4)), the ways to finish depend only on the factors already
-    matching each remaining vertex, so a run fills row R - 1 (`rows`, by
-    _row_ways) and the tail (`tails`, by _tail_ends) once per distinct state
-    and replays them; a state with no completion is stored empty.  Each
+    are left unset.  Row u is the edges (u, v), v > u; the tail is the last
+    four vertices R.. (R = max(1, n - 4)).  Once _fill has assigned the rows
+    before R - 2, the ways to finish depend only on the factors already
+    matching each remaining vertex, so a run fills row R - 2 (`wides`, by
+    _wide_row_ways), row R - 1 (`rows`, by _row_ways) and the tail (`tails`,
+    by _tail_ends) once per distinct state and replays them; a state with no
+    way on is stored empty.  K_3 and K_5 have no row R - 2.  Each
     factor arrives with its partner array already built, so counting never
     rebuilds it.  Within one call, equal factors are one shared (immutable)
     object: each distinct factor is built once, when it first completes,
@@ -193,11 +226,14 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
     # forms a perfect pair with.
     marks = [1 << pos for pos in reversed(range(len(edge_list)))]
     at_row = edge_list.index((row, row + 1)) if n > 3 else 3  # K_3: no tail
-    row_marks, tail_marks = marks[at_row : at_row + 4], marks[at_row + 4 :]
+    at_wide = edge_list.index((row - 1, row)) if n > 5 else at_row  # row R - 2
+    wide_marks, row_marks = marks[at_wide:at_row], marks[at_row : at_row + 4]
+    tail_marks = marks[at_row + 4 :]
     built: dict[int, int] = {}
     made: list[Factor] = []
     tables: list[list[int]] = []
     perfect: list[int] = []
+    bits: list[int] = []  # bits[slot] == 1 << slot
 
     def build(mask: int) -> int:
         edges = [e for e, mark in zip(edge_list, marks) if mask & mark]
@@ -225,53 +261,79 @@ def enumerate_factorizations(n: int) -> Iterator[Factorization]:
         made.append(f)
         tables.append(hops)
         perfect.append(mine)
+        bits.append(1 << b)
         built[mask] = b
         return b
 
-    # Memo keys pack one n-bit field per tail vertex, tail + i at bit i * n
-    # (spread * x copies x into every field).  `shared` holds one copy of
-    # each row entry and of each row value.
-    shifts = range(0, (n - tail) * n, n)
-    spread = sum(1 << s for s in shifts)
+    # Memo keys pack one n-bit field per vertex from R - 1 on, R - 1 + i at bit
+    # i * n; row R - 1 and tail keys drop the first field.  spread * x copies x
+    # into every field of a row R - 1 key, wide_spread * x into every field of
+    # a row R - 2 key.  `shared` holds one copy of each way and of each memo
+    # value: a row R - 2 way sets the fifth field of its bits, which no row
+    # R - 1 way reaches, so their ways never collide (the empty way that
+    # stands in for row R - 2 at n <= 5 has no bits).
+    shifts = range(0, (n - row) * n, n)
+    spread = sum(1 << s for s in shifts[:-1])
+    wide_spread = spread << n | 1
     shared: dict[int | tuple, tuple] = {}
+    wides: dict[int, tuple] = {}
     rows: dict[int, tuple] = {}
     tails: dict[int, tuple] = {}
+
+    def stored(memo: dict, key: int, ways: list) -> tuple:
+        """Memoise `ways` under `key`, each way and their tuple kept once."""
+        found = tuple([shared.setdefault(w[n], w) for w in ways])
+        memo[key] = found = shared.setdefault(found, found)
+        return found
+
     if n == 3:  # _fill assigns all three edges, filling every mask: nothing is left
         rows[full * spread], tails[full * spread] = ((0,) * 4,), ((0,) * 3,)
     used = [1 << v for v in range(n)]  # factor v isolates vertex v
     held = [0] * n
     new = object.__new__  # leaves skip Factorization.__init__, as Factor._prebuilt does
     slot_of = built.__getitem__
-    for _ in _fill(edge_list[:at_row], marks[:at_row], used, held, full):
-        rest = sum(map(lshift, used[tail:], shifts))
-        key = rest | used[row] * spread
-        options = rows.get(key)
+    for _ in _fill(edge_list[:at_wide], marks[:at_wide], used, held, full):
+        below = sum(map(lshift, used[row:], shifts))
+        # At n <= 5 there is no row R - 2 and _fill yields once, so one key.
+        key = below | used[row - 1] * wide_spread
+        options = wides.get(key)
         if options is None:
-            ways = _row_ways(key, row_marks, n, full)
-            found = tuple([shared.setdefault(w[n], w) for w in ways])
-            options = rows[key] = shared.setdefault(found, found)
-        for way in options:
-            state = rest | way[n]
-            ends = tails.get(state)
-            if ends is None:
-                ends = tails[state] = _tail_ends(state, tail_marks, n, full)
-            if not ends:
+            ways = _wide_row_ways(key, wide_marks, n, full) if n > 5 else [(0,) * (n + 1)]
+            options = stored(wides, key, ways)
+        for wide in options:
+            top = below | wide[n]
+            rest = top >> n
+            key = rest | (top & full) * spread
+            row_options = rows.get(key)
+            if row_options is None:
+                row_options = stored(rows, key, _row_ways(key, row_marks, n, full))
+            if not row_options:
                 continue
-            base = list(map(or_, held, way))
-            for last in ends:
-                masks = sorted(map(or_, base, last), reverse=True)
-                try:
-                    slots = tuple(map(slot_of, masks))
-                except KeyError:
-                    slots = tuple([built[k] if k in built else build(k) for k in masks])
-                count = earlier = 0  # earlier: the slots of the factors before this one
-                for a in slots:
-                    count += (perfect[a] & earlier).bit_count()
-                    earlier |= 1 << a
-                fz = new(Factorization)
-                factors = tuple(map(made.__getitem__, slots))
-                vars(fz).update(n=n, factors=factors, _perfect_pairs=count)
-                yield fz
+            upper = list(map(or_, held, wide))
+            for way in row_options:
+                state = rest | way[n]
+                ends = tails.get(state)
+                if ends is None:
+                    ends = tails[state] = _tail_ends(state, tail_marks, n, full)
+                if not ends:
+                    continue
+                base = list(map(or_, upper, way))
+                for last in ends:
+                    masks = sorted(map(or_, base, last), reverse=True)
+                    try:
+                        slots = tuple(map(slot_of, masks))
+                    except KeyError:
+                        slots = tuple([built[k] if k in built else build(k) for k in masks])
+                    count = earlier = 0  # earlier: the slots of the factors before this one
+                    for a in slots:
+                        count += (perfect[a] & earlier).bit_count()
+                        earlier |= bits[a]
+                    fz = new(Factorization)
+                    attrs = vars(fz)
+                    attrs["n"] = n
+                    attrs["factors"] = tuple(map(made.__getitem__, slots))
+                    attrs["_perfect_pairs"] = count
+                    yield fz
 
 
 class OracleSummary(Record):
